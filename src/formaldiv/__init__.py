@@ -45,9 +45,7 @@ from .exponents import (
     PositiveLinearForm,
     StandardOrder,
     SyzygyOrder,
-    compare,
     compare_diagrams,
-    delta_partition,
     diagram_from_exponents,
     syzygy_order_for,
 )
@@ -64,13 +62,7 @@ from .families import (
     specialize,
     specialized_relations_check,
 )
-from .series import (
-    InitialData,
-    TruncatedSeries,
-    formal_partial,
-    initial_data,
-    mul_scalar_series,
-)
+from .series import InitialData, TruncatedSeries
 from .syzygies import (
     RelationPresentation,
     SyzygyBasis,

@@ -9,6 +9,13 @@ Three rings are available:
 Fractions are never gcd-reduced; equality is decided by cross-multiplication,
 which is exact in an integral domain.  The only normalization applied anywhere
 is making denominator generators monic in their leading coefficient.
+
+Values of every ring share one protocol: ``+``, ``-`` (binary and unary),
+``*`` and ``==`` within one ring, and truthiness, which is false exactly for
+zero.  A ring object (``QQ``, ``PolynomialRing``, ``LocalizedRing``) supplies
+only what values cannot: ``zero`` and ``one``, the constructors ``from_int``
+and ``from_fraction`` (plus ``variable`` on ``PolynomialRing`` and
+``from_poly`` on ``LocalizedRing``), ``divide_by_unit`` and ``evaluate``.
 """
 
 from __future__ import annotations
@@ -69,24 +76,19 @@ class ParamPolynomial:
         return cls(names, {exp: Fraction(1)})
 
     # -- predicates ----------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     @property
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self) -> Fraction:
-        if self.is_zero:
+        if not self:
             return Fraction(0)
         if not self.is_constant:
             raise PreconditionError(f"not a constant: {self}")
         return next(iter(self.terms.values()))
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     # -- arithmetic ------------------------------------------------------
     def _check(self, other: "ParamPolynomial"):
@@ -150,7 +152,7 @@ class ParamPolynomial:
     # -- structure -------------------------------------------------------
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponent, coefficient) in graded lexicographic order."""
-        if self.is_zero:
+        if not self:
             raise PreconditionError("zero polynomial has no leading term")
         e = max(self.terms, key=_term_key)
         return e, self.terms[e]
@@ -158,12 +160,12 @@ class ParamPolynomial:
     def exact_div(self, g: "ParamPolynomial") -> Optional["ParamPolynomial"]:
         """Exact quotient self / g, or None when g does not divide self."""
         self._check(g)
-        if g.is_zero:
+        if not g:
             return None
         ge, gc = g.leading()
         r = self
         q = {}
-        while not r.is_zero:
+        while r:
             re, rc = r.leading()
             diff = tuple(a - b for a, b in zip(re, ge))
             if any(d < 0 for d in diff):
@@ -205,7 +207,7 @@ class DenominatorSet:
         self.names = tuple(names)
         self.generators: list[ParamPolynomial] = []
         for g in seed:
-            if g.is_zero:
+            if not g:
                 raise PreconditionError("zero polynomial in denominator set")
             self.register(g)
 
@@ -216,7 +218,7 @@ class DenominatorSet:
     def register(self, p: ParamPolynomial) -> Optional[ParamPolynomial]:
         """Record p as invertible; returns the new generator, or None if p
         was already a unit (constant or product of known generators)."""
-        if p.is_zero:
+        if not p:
             raise PreconditionError("cannot invert the zero polynomial")
         if p.is_constant:
             return None
@@ -232,7 +234,7 @@ class DenominatorSet:
         Returns (c, {generator index: power}) or None when no such
         decomposition exists with the current generators.
         """
-        if p.is_zero:
+        if not p:
             return None
 
         def walk(q):
@@ -267,19 +269,15 @@ class LocalizedFraction:
 
     def __init__(self, num: ParamPolynomial, powers: dict[int, int], dset: DenominatorSet):
         self.num = num
-        self.powers = {i: k for i, k in powers.items() if k} if not num.is_zero else {}
+        self.powers = {i: k for i, k in powers.items() if k} if num else {}
         self.dset = dset
 
     def _check(self, other: "LocalizedFraction"):
         if self.dset is not other.dset:
             raise RingMismatchError("fractions over different denominator sets")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def denominator_poly(self) -> ParamPolynomial:
-        return self.dset.power_product(self.powers)
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def _common(self, other):
         # shared denominator exponents and the complementary multipliers
@@ -356,24 +354,6 @@ class RationalField:
     def from_fraction(self, v) -> Fraction:
         return Fraction(v)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return not a
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def divide_by_unit(self, a, s):
         if not s:
             raise NotInvertibleError("division by zero")
@@ -412,26 +392,8 @@ class PolynomialRing:
     def variable(self, name: str) -> ParamPolynomial:
         return ParamPolynomial.variable(self.names, name)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def divide_by_unit(self, a, s):
-        if s.is_zero:
+        if not s:
             raise NotInvertibleError("division by zero")
         if not s.is_constant:
             raise NotInvertibleError(
@@ -476,26 +438,8 @@ class LocalizedRing:
     def from_poly(self, p: ParamPolynomial) -> LocalizedFraction:
         return LocalizedFraction(p, {}, self.dset)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def divide_by_unit(self, a: LocalizedFraction, s: LocalizedFraction) -> LocalizedFraction:
-        if s.is_zero:
+        if not s:
             raise NotInvertibleError("division by zero")
         fac = self.dset.factor_as_unit(s.num)
         if fac is None:
@@ -529,16 +473,6 @@ class LocalizedRing:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.dset.generators)
         return f"QQ[{', '.join(self.names)}] localized at [{gens}]"
-
-
-def divide_by_unit(ring, a, s):
-    """a / s in the given ring; s must be a unit there."""
-    return ring.divide_by_unit(a, s)
-
-
-def evaluate(ring, a, point) -> Fraction:
-    """Evaluate a coefficient at a rational parameter point."""
-    return ring.evaluate(a, point)
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +599,7 @@ class _ExprParser:
             ekind, etok, epos = self.advance()
             if ekind != "int":
                 raise ExpressionError("exponent must be a nonnegative integer", epos)
-            if isinstance(value, Fraction):
-                value = value ** etok
-            else:
-                value = value ** etok
+            value = value ** etok
         return value
 
     def atom(self):
@@ -703,7 +634,7 @@ def format_coefficient(c: Coefficient) -> str:
         return str(c)
     if isinstance(c, LocalizedFraction):
         return str(c)
-    if c.is_zero:
+    if not c:
         return "0"
     parts = []
     for exp in sorted(c.terms, key=_term_key, reverse=True):

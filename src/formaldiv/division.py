@@ -29,7 +29,6 @@ from .exponents import (
     DeltaPartition,
     Diagram,
     ModExponent,
-    clipped_sub,
     diagram_from_exponents,
     sub_alpha,
 )
@@ -44,14 +43,6 @@ class DivisionResult:
     remainder: TruncatedSeries
     partition: DeltaPartition
     new_denominators: tuple[ParamPolynomial, ...] = ()
-
-    def __add__(self, other: "DivisionResult") -> "DivisionResult":
-        return DivisionResult(
-            tuple(a + b for a, b in zip(self.quotients, other.quotients)),
-            self.remainder + other.remainder,
-            self.partition,
-            self.new_denominators + other.new_denominators,
-        )
 
 
 @dataclass
@@ -125,8 +116,8 @@ def hironaka_divide(
         for e, c in working.items():
             i = partition.cell_of(e)
             if i is None:
-                remainder[e] = ring.add(remainder.get(e, ring.zero), c)
-                if ring.is_zero(remainder[e]):
+                remainder[e] = remainder.get(e, ring.zero) + c
+                if not remainder[e]:
                     del remainder[e]
             else:
                 beta = sub_alpha(e.alpha, inits[i].exponent.alpha)
@@ -139,8 +130,8 @@ def hironaka_divide(
                 continue
             qi = quotients[i]
             for beta, qc in qstep.items():
-                qi[beta] = ring.add(qi.get(beta, ring.zero), qc)
-                if ring.is_zero(qi[beta]):
+                qi[beta] = qi.get(beta, ring.zero) + qc
+                if not qi[beta]:
                     del qi[beta]
             for beta, qc in qstep.items():
                 shift = sum(beta)
@@ -148,11 +139,11 @@ def hironaka_divide(
                     if te.degree + shift > trunc:
                         continue
                     e = te.shift(beta)
-                    s = ring.sub(nxt.get(e, ring.zero), ring.mul(qc, tc))
-                    if ring.is_zero(s):
-                        nxt.pop(e, None)
-                    else:
+                    s = nxt.get(e, ring.zero) - qc * tc
+                    if s:
                         nxt[e] = s
+                    else:
+                        nxt.pop(e, None)
         working = nxt
 
     q_series = tuple(
@@ -199,21 +190,6 @@ def is_member(
     return res.remainder.is_zero, res
 
 
-def _slot_tests(exps: Sequence[ModExponent], i: int) -> list[tuple[int, ...]]:
-    """Minimal monomial shifts of exps[i] that land in an earlier cell."""
-    deltas = []
-    for k in range(i):
-        if exps[k].comp == exps[i].comp:
-            deltas.append(clipped_sub(exps[k].alpha, exps[i].alpha))
-    deltas = list(dict.fromkeys(deltas))
-    minimal = [
-        d for d in deltas
-        if not any(o != d and all(x <= y for x, y in zip(o, d)) for o in deltas)
-    ]
-    minimal.sort(key=lambda d: (sum(d), d))
-    return minimal
-
-
 def complete_to_standard_basis(
     order,
     generators: Sequence[TruncatedSeries],
@@ -255,9 +231,10 @@ def complete_to_standard_basis(
     for g in work:
         _ensure_unit(ring, g.initial(order).coefficient, new_dens)
 
-    pending = []
-    for i in range(len(work)):
-        pending.extend((gamma, i) for gamma in _slot_tests(exps, i))
+    part = DeltaPartition(exps)
+    pending = [
+        (gamma, i) for i in range(len(work)) for gamma in part.box_complement_generators(i)
+    ]
 
     cursor = 0
     while cursor < len(pending):
@@ -282,7 +259,9 @@ def complete_to_standard_basis(
         prov.append(tuple(pvec))
         exps.append(r.initial(order).exponent)
         t = len(work) - 1
-        pending.extend((g2, t) for g2 in _slot_tests(exps, t))
+        pending.extend(
+            (g2, t) for g2 in DeltaPartition(exps).box_complement_generators(t)
+        )
 
     diagram = diagram_from_exponents(exps, n=n, p=p, order=order)
     elements = []

@@ -21,10 +21,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import AmbientMismatchError, PreconditionError
 
 
-def degree(alpha: Sequence[int]) -> int:
-    return sum(alpha)
-
-
 def add_alpha(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -206,11 +202,6 @@ def _check_arity(n: int, *exps: ModExponent):
             )
 
 
-def compare(order, e1: ModExponent, e2: ModExponent) -> Ordering:
-    """Total comparison of two module exponents under the given order."""
-    return order.compare(e1, e2)
-
-
 def syzygy_order_for(basis_vertices: Sequence[ModExponent], form: PositiveLinearForm) -> SyzygyOrder:
     """Order on relation vectors derived from a list of basis initial exponents."""
     return SyzygyOrder(form, list(basis_vertices))
@@ -331,31 +322,29 @@ class DeltaPartition:
                 return i
         return None
 
-    def in_remainder(self, e: ModExponent) -> bool:
-        return self.cell_of(e) is None
-
     def box_contains(self, i: int, beta: Sequence[int]) -> bool:
         """True iff exps[i] + beta still belongs to cell i."""
         return self.cell_of(self.exps[i].shift(beta)) == i
 
     def box_complement_generators(self, i: int) -> list[tuple[int, ...]]:
-        """Multi-indices whose translates cover everything cell i loses.
+        """Minimal multi-indices whose translates cover everything cell i loses.
 
         beta fails box_contains(i, beta) exactly when beta dominates one of
-        the returned generators; the list may contain redundant entries.
+        the returned generators.  The list has no duplicate and no entry
+        dominating another, and is sorted by (total degree, lex).
         """
-        gens = []
         a_i = self.exps[i]
-        for k in range(i):
-            a_k = self.exps[k]
-            if a_k.comp == a_i.comp:
-                gens.append(clipped_sub(a_k.alpha, a_i.alpha))
-        return gens
-
-
-def delta_partition(exps: Sequence[ModExponent]) -> DeltaPartition:
-    """Partition of the exponent space induced by an ordered divisor list."""
-    return DeltaPartition(exps)
+        gens = list(dict.fromkeys(
+            clipped_sub(a_k.alpha, a_i.alpha)
+            for a_k in self.exps[:i]
+            if a_k.comp == a_i.comp
+        ))
+        minimal = [
+            d for d in gens
+            if not any(o != d and all(x <= y for x, y in zip(o, d)) for o in gens)
+        ]
+        minimal.sort(key=lambda d: (sum(d), d))
+        return minimal
 
 
 def iter_alphas(n: int, max_degree: int):

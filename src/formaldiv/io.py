@@ -132,7 +132,7 @@ def load_module_data(data, source="module") -> LoadedModule:
             poly = parse_coefficient(text, param_names)
         except ExpressionError as exc:
             raise SchemaError(f"{path}: {exc}") from None
-        _expect(not poly.is_zero, path, "zero polynomial cannot be inverted")
+        _expect(bool(poly), path, "zero polynomial cannot be inverted")
         seed.append(poly)
 
     series_raw = data.get("series", [])

@@ -39,7 +39,7 @@ class TruncatedSeries:
                 raise AmbientMismatchError(f"component {e.comp} outside 1..{p}")
             if e.degree > trunc:
                 continue  # beyond the horizon: identically dropped
-            if not ring.is_zero(c):
+            if c:
                 clean[e] = c
         self.terms = clean
 
@@ -81,18 +81,17 @@ class TruncatedSeries:
         out = dict(self.terms)
         ring = self.ring
         for e, c in other.terms.items():
-            s = ring.add(out.get(e, ring.zero), c)
-            if ring.is_zero(s):
-                out.pop(e, None)
-            else:
+            s = out.get(e, ring.zero) + c
+            if s:
                 out[e] = s
+            else:
+                out.pop(e, None)
         return TruncatedSeries(self.n, self.p, self.trunc, ring, out)
 
     def __neg__(self):
-        ring = self.ring
         return TruncatedSeries(
-            self.n, self.p, self.trunc, ring,
-            {e: ring.neg(c) for e, c in self.terms.items()},
+            self.n, self.p, self.trunc, self.ring,
+            {e: -c for e, c in self.terms.items()},
         )
 
     def __sub__(self, other):
@@ -100,11 +99,11 @@ class TruncatedSeries:
 
     def scale(self, c) -> "TruncatedSeries":
         ring = self.ring
-        if ring.is_zero(c):
+        if not c:
             return TruncatedSeries.zero(self.n, self.p, self.trunc, ring)
         return TruncatedSeries(
             self.n, self.p, self.trunc, ring,
-            {e: ring.mul(c, v) for e, v in self.terms.items()},
+            {e: c * v for e, v in self.terms.items()},
         )
 
     def __eq__(self, other):
@@ -113,7 +112,7 @@ class TruncatedSeries:
         self._check(other)
         if set(self.terms) != set(other.terms):
             return False
-        return all(self.ring.eq(c, other.terms[e]) for e, c in self.terms.items())
+        return all(c == other.terms[e] for e, c in self.terms.items())
 
     def __hash__(self):
         raise TypeError("truncated series are not hashable")
@@ -123,12 +122,12 @@ class TruncatedSeries:
         """Multiply by coeff * x^beta, discarding terms past the horizon."""
         ring = self.ring
         out = {}
-        if ring.is_zero(coeff):
+        if not coeff:
             return TruncatedSeries.zero(self.n, self.p, self.trunc, ring)
         for e, c in self.terms.items():
             if e.degree + sum(beta) > self.trunc:
                 continue
-            out[e.shift(beta)] = ring.mul(coeff, c)
+            out[e.shift(beta)] = coeff * c
         return TruncatedSeries(self.n, self.p, self.trunc, ring, out)
 
     def mul_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -145,11 +144,11 @@ class TruncatedSeries:
                 if d1 + e2.degree > self.trunc:
                     continue
                 e = ModExponent(add_alpha(e1.alpha, e2.alpha), e2.comp)
-                s = ring.add(out.get(e, ring.zero), ring.mul(c1, c2))
-                if ring.is_zero(s):
-                    out.pop(e, None)
-                else:
+                s = out.get(e, ring.zero) + c1 * c2
+                if s:
                     out[e] = s
+                else:
+                    out.pop(e, None)
         return TruncatedSeries(other.n, other.p, other.trunc, ring, out)
 
     # -- structure ---------------------------------------------------------
@@ -193,7 +192,7 @@ class TruncatedSeries:
                 continue
             alpha = list(e.alpha)
             alpha[k - 1] -= 1
-            out[ModExponent(tuple(alpha), e.comp)] = ring.mul(c, ring.from_int(a))
+            out[ModExponent(tuple(alpha), e.comp)] = c * ring.from_int(a)
         return TruncatedSeries(self.n, self.p, self.trunc, ring, out)
 
     def map_coefficients(self, f: Callable, new_ring) -> "TruncatedSeries":
@@ -228,18 +227,3 @@ class InitialData:
         return TruncatedSeries.monomial(
             self.exponent, self.coefficient, s.n, s.p, s.trunc, s.ring
         )
-
-
-def mul_scalar_series(c: TruncatedSeries, f: TruncatedSeries) -> TruncatedSeries:
-    """Product of a one-component series with a p-component series."""
-    return c.mul_series(f)
-
-
-def initial_data(order, f: TruncatedSeries) -> InitialData:
-    """Initial exponent/coefficient of f under the given order."""
-    return f.initial(order)
-
-
-def formal_partial(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Termwise formal partial derivative along axis k."""
-    return f.partial(k)

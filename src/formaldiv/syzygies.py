@@ -18,10 +18,11 @@ denominators together with the constant term of one determinant.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coefficients import Coefficient, LocalizedRing, ParamPolynomial
+from .coefficients import Coefficient, LocalizedFraction, LocalizedRing, ParamPolynomial
 from .division import (
     DivisionResult,
     StandardBasis,
@@ -97,9 +98,9 @@ def _relations_core(order, elements: Sequence[TruncatedSeries], form):
         terms = {}
         for j, qj in enumerate(res.quotients):
             for be, c in qj.terms.items():
-                terms[ModExponent(be.alpha, j + 1)] = ring.neg(c)
+                terms[ModExponent(be.alpha, j + 1)] = -c
         head = ModExponent(gamma, slot)
-        terms[head] = ring.add(terms.get(head, ring.zero), ring.one)
+        terms[head] = terms.get(head, ring.zero) + ring.one
         relations.append(TruncatedSeries(n, r, trunc, ring, terms))
     return syz_order, ndiag, tuple(relations)
 
@@ -195,14 +196,14 @@ def _minor(m, i, j):
     ]
 
 
-def _det_series(m, one):
-    if not m:
-        return one
+def _det(m, mul):
+    """First-row cofactor expansion of a nonempty square matrix, with mul as
+    the ring product (operator.mul on coefficients, mul_series on series)."""
     if len(m) == 1:
         return m[0][0]
     acc = None
     for j in range(len(m)):
-        term = m[0][j].mul_series(_det_series(_minor(m, 0, j), one))
+        term = mul(m[0][j], _det(_minor(m, 0, j), mul))
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
@@ -216,7 +217,7 @@ def _adjugate_series(m, one):
     adj = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
-            cof = _det_series(_minor(m, i, j), one)
+            cof = _det(_minor(m, i, j), TruncatedSeries.mul_series)
             if (i + j) % 2:
                 cof = -cof
             adj[j][i] = cof
@@ -257,9 +258,9 @@ class RelationPresentation:
     def det_u_certificate(self) -> Optional[ParamPolynomial]:
         """Polynomial whose nonvanishing certifies the presentation at a point."""
         c = self.det_u_constant
-        if hasattr(c, "num"):
+        if isinstance(c, LocalizedFraction):
             return c.num
-        if hasattr(c, "is_zero"):
+        if isinstance(c, ParamPolynomial):
             return c
         return None
 
@@ -359,14 +360,15 @@ def relations_of_generators(
 
     zero_exp = ModExponent((0,) * n, 1)
     u0 = [[u_matrix[i][j].coefficient(zero_exp) for j in range(m)] for i in range(m)]
-    det_u0 = _coeff_det(ring, u0)
-    if ring.is_zero(det_u0):
+    det_u0 = _det(u0, operator.mul)
+    if not det_u0:
         raise DegenerateFamilyError(
             "constant term of the change-of-generators matrix is singular"
         )
 
     u_adj = _adjugate_series(u_matrix, one_series)
-    det_u = _det_series(u_matrix, one_series)
+    # first-row cofactor expansion, reusing the adjugate's cofactors
+    det_u = _mat_mul(u_matrix[:1], u_adj)[0][0]
 
     syz_order, syz_diag, p_rels = _relations_core(order, elements_perm, order.form)
 
@@ -418,15 +420,3 @@ def relations_of_generators(
         standard_relations=p_rels,
         denominator_generators=dens,
     )
-
-
-def _coeff_det(ring, m):
-    if len(m) == 1:
-        return m[0][0]
-    acc = ring.zero
-    for j in range(len(m)):
-        term = ring.mul(m[0][j], _coeff_det(ring, _minor(m, 0, j)))
-        if j % 2:
-            term = ring.neg(term)
-        acc = ring.add(acc, term)
-    return acc

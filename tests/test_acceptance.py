@@ -12,6 +12,7 @@ from pathlib import Path
 
 from formaldiv import (
     QQ,
+    DeltaPartition,
     ModExponent,
     Ordering,
     ParamModule,
@@ -215,9 +216,7 @@ def test_criterion_5_syzygy_diagram_law():
     for order, basis in _complete_bases(4004, 50):
         syz = standard_relations(basis)
         exps = [e.initial(order).exponent for e in basis.elements]
-        from formaldiv import delta_partition
-
-        part = delta_partition(exps)
+        part = DeltaPartition(exps)
         trunc = basis.elements[0].trunc
         n = basis.elements[0].n
         for i in range(len(exps)):

@@ -35,7 +35,7 @@ def loc_ring(*dens, names=XI):
 # -- plain ring operations ----------------------------------------------------
 
 def test_rational_addition():
-    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
 
 def test_localized_cancellation_identity():
@@ -43,7 +43,7 @@ def test_localized_cancellation_identity():
     xi = ring.from_poly(poly("xi1"))
     s = ring.from_poly(poly("xi1"))
     frac = ring.divide_by_unit(xi, s)          # xi/xi as a fraction
-    assert ring.eq(ring.mul(frac, s), xi)      # cross-multiplied identity
+    assert frac * s == xi                      # cross-multiplied identity
 
 
 def test_polynomial_factored_identity():
@@ -70,7 +70,7 @@ def test_ring_axioms_random():
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
         assert (x * y) * z == x * (y * z)
-        assert (x + (-x)).is_zero
+        assert not (x + (-x))
 
 
 # -- divide_by_unit -------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_divide_by_unit_localized():
     f = ring.divide_by_unit(a, s)
     assert f.num == poly("xi1 + 1")
     assert f.powers == {0: 1}
-    assert ring.eq(ring.mul(f, s), a)
+    assert f * s == a
 
 
 def test_divide_by_unit_not_invertible():

@@ -4,13 +4,12 @@ import pytest
 from fractions import Fraction
 
 from formaldiv import (
+    DeltaPartition,
     ModExponent,
     Ordering,
     PositiveLinearForm,
     StandardOrder,
-    compare,
     compare_diagrams,
-    delta_partition,
     diagram_from_exponents,
     syzygy_order_for,
 )
@@ -28,30 +27,30 @@ def E(alpha, comp=1):
 
 def test_compare_lex_tiebreak():
     order = unit_order(2)
-    assert compare(order, E((0, 1)), E((1, 0))) == Ordering.LESS
+    assert order.compare(E((0, 1)), E((1, 0))) == Ordering.LESS
 
 
 def test_compare_reflexive():
     order = unit_order(2)
     e = E((3, 1), 1)
-    assert compare(order, e, e) == Ordering.EQUAL
+    assert order.compare(e, e) == Ordering.EQUAL
 
 
 def test_compare_degree_beats_component():
     order = unit_order(2)
-    assert compare(order, E((1, 0), 2), E((0, 2), 1)) == Ordering.LESS
+    assert order.compare(E((1, 0), 2), E((0, 2), 1)) == Ordering.LESS
 
 
 def test_compare_weighted_form():
     order = StandardOrder(PositiveLinearForm((Fraction(1), Fraction(2))))
     # L((2,0)) = 2 < L((0,2)) = 4
-    assert compare(order, E((2, 0)), E((0, 2))) == Ordering.LESS
+    assert order.compare(E((2, 0)), E((0, 2))) == Ordering.LESS
 
 
 def test_compare_arity_mismatch():
     order = unit_order(2)
     with pytest.raises(AmbientMismatchError):
-        compare(order, E((1,)), E((0, 1)))
+        order.compare(E((1,)), E((0, 1)))
 
 
 def test_additive_compatibility_both_variants():
@@ -64,7 +63,7 @@ def test_additive_compatibility_both_variants():
         if sum(beta) == 0:
             beta = (1, 0, 0)
         e = E(alpha, rng.randint(1, 2))
-        assert compare(order, e.shift(beta), e) == Ordering.GREATER
+        assert order.compare(e.shift(beta), e) == Ordering.GREATER
         es = E(alpha, rng.randint(1, 2))
         assert syz.compare(es.shift(beta), es) == Ordering.GREATER
 
@@ -212,7 +211,7 @@ def test_compare_diagrams_requires_matching_order():
 # -- delta partition -----------------------------------------------------------
 
 def test_delta_partition_two_cells():
-    part = delta_partition([E((2, 0)), E((0, 2))])
+    part = DeltaPartition([E((2, 0)), E((0, 2))])
     # box of cell 2 loses the (2,0)-translates; remainder is the 2x2 corner
     for alpha in iter_alphas(2, 6):
         cell = part.cell_of(E(alpha))
@@ -227,13 +226,13 @@ def test_delta_partition_two_cells():
 
 
 def test_delta_partition_unit_divisor():
-    part = delta_partition([E((0, 0))])
+    part = DeltaPartition([E((0, 0))])
     for alpha in iter_alphas(2, 5):
         assert part.cell_of(E(alpha)) == 0
 
 
 def test_delta_partition_duplicate_vertex_empty_cell():
-    part = delta_partition([E((1, 1)), E((1, 1))])
+    part = DeltaPartition([E((1, 1)), E((1, 1))])
     for alpha in iter_alphas(2, 5):
         assert part.cell_of(E(alpha, 1)) != 1
 
@@ -245,7 +244,7 @@ def test_delta_partition_cells_cover_exactly_once():
             E((rng.randint(0, 3), rng.randint(0, 3)), rng.randint(1, 2))
             for _ in range(rng.randint(1, 5))
         ]
-        part = delta_partition(exps)
+        part = DeltaPartition(exps)
         for alpha in iter_alphas(2, 5):
             for comp in (1, 2):
                 e = E(alpha, comp)
@@ -263,7 +262,7 @@ def test_delta_partition_cells_cover_exactly_once():
 
 def test_delta_partition_rejects_empty():
     with pytest.raises(PreconditionError):
-        delta_partition([])
+        DeltaPartition([])
 
 
 def test_iter_alphas_counts_and_order():

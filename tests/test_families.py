@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from formaldiv import (
     specialize,
     specialized_relations_check,
 )
+from formaldiv import io
 from formaldiv.errors import PreconditionError, VanishingDenominatorError
 
 import catalog
@@ -240,6 +242,17 @@ def test_relations_check_single_generator_trivial():
     report = specialized_relations_check(pm, [(1,), (2,)])
     assert report.all_passed
     assert len(report.presentation.relations) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: the emitted relations fail to span the oracle relations "
+    "at every certified point of this family"
+))
+def test_relations_check_known_defect_family():
+    path = Path(__file__).parent / "fixtures" / "family_defect.json"
+    pm = io.parse_module_file(str(path)).param_module()
+    report = specialized_relations_check(pm, grid_points([(-3, 3)]))
+    assert report.all_passed
 
 
 def test_grid_points_cartesian():

@@ -8,9 +8,6 @@ from formaldiv import (
     ModExponent,
     TruncatedSeries,
     diagram_from_exponents,
-    formal_partial,
-    initial_data,
-    mul_scalar_series,
 )
 from formaldiv.errors import AmbientMismatchError, PreconditionError
 
@@ -36,15 +33,15 @@ def test_subtract():
 def test_mul_truncates():
     one_plus_x = ser(1, 1, 2, {(0,): 1, (1,): 1})
     x = ser(1, 1, 2, {(1,): 1})
-    assert mul_scalar_series(one_plus_x, x) == ser(1, 1, 2, {(1,): 1, (2,): 1})
+    assert one_plus_x.mul_series(x) == ser(1, 1, 2, {(1,): 1, (2,): 1})
     x2 = ser(1, 1, 2, {(2,): 1})
-    assert mul_scalar_series(x, x2).is_zero
+    assert x.mul_series(x2).is_zero
 
 
 def test_mul_into_two_components():
     c = ser(2, 1, 2, {(0, 0): 1, (1, 0): 1})
     f = ser(2, 2, 2, {((0, 1), 1): 1})
-    assert mul_scalar_series(c, f) == ser(2, 2, 2, {((0, 1), 1): 1, ((1, 1), 1): 1})
+    assert c.mul_series(f) == ser(2, 2, 2, {((0, 1), 1): 1, ((1, 1), 1): 1})
 
 
 def test_mul_matches_exact_product_then_truncation():
@@ -68,25 +65,25 @@ def test_mul_matches_exact_product_then_truncation():
 def test_initial_data_lex_tiebreak():
     order = unit_order(2)
     f = ser(2, 1, 6, {(2, 1): 1, (3, 0): 1})
-    init = initial_data(order, f)
+    init = f.initial(order)
     assert init.exponent == ModExponent((2, 1), 1)
 
 
 def test_initial_data_constant():
     order = unit_order(2)
-    init = initial_data(order, ser(2, 1, 6, {(0, 0): 7}))
+    init = ser(2, 1, 6, {(0, 0): 7}).initial(order)
     assert init.exponent == ModExponent((0, 0), 1) and init.coefficient == 7
 
 
 def test_initial_data_second_component():
     order = unit_order(1)
     f = ser(1, 2, 6, {((1,), 2): 1})
-    assert initial_data(order, f).exponent == ModExponent((1,), 2)
+    assert f.initial(order).exponent == ModExponent((1,), 2)
 
 
 def test_initial_data_zero_series():
     with pytest.raises(PreconditionError):
-        initial_data(unit_order(1), ser(1, 1, 3, {}))
+        ser(1, 1, 3, {}).initial(unit_order(1))
 
 
 def test_initial_multiplicative():
@@ -105,9 +102,9 @@ def test_initial_multiplicative():
 
 
 def test_partial_basic():
-    assert formal_partial(ser(2, 1, 6, {(2, 1): 1}), 1) == ser(2, 1, 6, {(1, 1): 2})
-    assert formal_partial(ser(2, 1, 6, {(0, 3): 1}), 1).is_zero
-    assert formal_partial(ser(2, 1, 6, {(1, 0): 1, (0, 2): 3}), 2) == ser(2, 1, 6, {(0, 1): 6})
+    assert ser(2, 1, 6, {(2, 1): 1}).partial(1) == ser(2, 1, 6, {(1, 1): 2})
+    assert ser(2, 1, 6, {(0, 3): 1}).partial(1).is_zero
+    assert ser(2, 1, 6, {(1, 0): 1, (0, 2): 3}).partial(2) == ser(2, 1, 6, {(0, 1): 6})
 
 
 def test_partial_stays_outside_diagram():
@@ -126,7 +123,7 @@ def test_partial_stays_outside_diagram():
                 outside[e] = Fraction(rng.randint(1, 5))
         f = TruncatedSeries(2, 2, 6, QQ, outside)
         for k in (1, 2):
-            for e in formal_partial(f, k).support():
+            for e in f.partial(k).support():
                 assert not diag.contains(e)
 
 

@@ -1,13 +1,15 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from formaldiv import (
     QQ,
+    DeltaPartition,
     ModExponent,
     TruncatedSeries,
     complete_to_standard_basis,
-    delta_partition,
     hironaka_divide,
     reduce_relation,
     relations_of_generators,
@@ -15,6 +17,7 @@ from formaldiv import (
     syzygy_diagram,
     syzygy_order_for,
 )
+from formaldiv import io
 from formaldiv.errors import NotARelationError
 from formaldiv.exponents import iter_alphas
 from formaldiv.syzygies import active_part, relation_defect
@@ -35,7 +38,7 @@ def two_squares_basis(order=None):
 def test_syzygy_diagram_two_squares():
     basis = two_squares_basis()
     exps = [e.initial(basis.order).exponent for e in basis.elements]
-    part = delta_partition(exps)
+    part = DeltaPartition(exps)
     sorder = syzygy_order_for(exps, basis.order.form)
     diag = syzygy_diagram(part, order=sorder)
     # one crossing: the later vertex shifted by the earlier one
@@ -46,14 +49,14 @@ def test_syzygy_diagram_two_squares():
 
 def test_syzygy_diagram_single_divisor_is_empty():
     exps = [ModExponent((1, 2), 1)]
-    part = delta_partition(exps)
+    part = DeltaPartition(exps)
     diag = syzygy_diagram(part, order=syzygy_order_for(exps, unit_order(2).form))
     assert diag.is_empty
 
 
 def test_syzygy_diagram_duplicate_exponent():
     exps = [ModExponent((1, 0), 1), ModExponent((1, 0), 1)]
-    part = delta_partition(exps)
+    part = DeltaPartition(exps)
     diag = syzygy_diagram(part, order=syzygy_order_for(exps, unit_order(2).form))
     assert diag.vertices == (ModExponent((0, 0), 2),)
 
@@ -66,7 +69,7 @@ def test_syzygy_diagram_law_enumerated():
             exps.append(
                 ModExponent((rng.randint(0, 3), rng.randint(0, 3)), rng.randint(1, 2))
             )
-        part = delta_partition(exps)
+        part = DeltaPartition(exps)
         diag = syzygy_diagram(part, order=syzygy_order_for(exps, unit_order(2).form))
         for i in range(len(exps)):
             for gamma in iter_alphas(2, 6):
@@ -302,6 +305,58 @@ def test_presentation_adjugate_identity():
                 assert acc == ident[i][j]
         for r in pres.relations:
             assert relation_defect(r, gens).is_zero
+
+
+def _leibniz_det(m):
+    """Permutation-sum determinant of a square matrix of one-component series."""
+    size = len(m)
+    acc = None
+    for perm in itertools.permutations(range(size)):
+        term = m[0][perm[0]]
+        for i in range(1, size):
+            term = term.mul_series(m[i][perm[i]])
+        inversions = sum(
+            perm[a] > perm[b] for a in range(size) for b in range(a + 1, size)
+        )
+        if inversions % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _assert_determinant(pres):
+    assert pres.det_u == _leibniz_det(pres.u_matrix)
+    zero = ModExponent((0,) * pres.det_u.n, 1)
+    assert pres.det_u_constant == pres.det_u.coefficient(zero)
+
+
+def test_presentation_determinant_matches_leibniz_rational():
+    # no constant or linear terms, so initial exponents collide and the
+    # change-of-generators matrix gets nonconstant entries
+    rng = random.Random(131)
+    order = unit_order(2)
+    alphas = [a for a in iter_alphas(2, 4) if sum(a) >= 2]
+    nonconstant = 0
+    for _ in range(40):
+        gens = [
+            ser(2, 1, 5, {a: rng.choice((-2, -1, 1, 2)) for a in rng.sample(alphas, 3)})
+            for _ in range(rng.randint(2, 4))
+        ]
+        pres = relations_of_generators(order, gens)
+        _assert_determinant(pres)
+        if pres.m >= 3 and len(pres.det_u.terms) >= 2:
+            nonconstant += 1
+    assert nonconstant
+
+
+def test_presentation_determinant_matches_leibniz_localized():
+    path = Path(__file__).parent / "fixtures" / "family_relations.json"
+    pm = io.parse_module_file(str(path)).param_module()
+    ring, gens = pm.localized()
+    pres = relations_of_generators(pm.order, gens)
+    assert pres.m >= 2
+    _assert_determinant(pres)
+    assert pres.det_u_certificate == pres.det_u_constant.num
 
 
 def test_presentation_spans_oracle_relations():
