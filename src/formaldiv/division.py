@@ -2,12 +2,15 @@
 
 Division works with any admissible order: the divisor list's initial
 exponents carve the exponent space into cells (one per divisor, plus a
-remainder region), and the working series is repeatedly split along those
-cells.  One split step cancels every current term exactly, so the initial
-exponent of the working series strictly increases; since only finitely many
-exponents have total degree <= trunc, the loop terminates, leaving quotients
-whose shifted supports sit inside their cells and a remainder supported on
-the remainder region.
+remainder region), and the working series is split along those cells in one
+pass in increasing order.  The least working term goes either to the
+remainder or, in cell i, to the quotient Q_i; in the latter case that
+quotient term times divisor i's tail is subtracted from the working series.
+Because the order is compatible with translation and every tail term comes
+after its initial term, a split only feeds strictly later exponents: each
+exponent is split once, and since only finitely many exponents have total
+degree <= trunc, the pass terminates.  The quotients' shifted supports sit
+inside their cells and the remainder is supported on the remainder region.
 
 Over a localized coefficient ring the initial coefficients of the divisors
 are the only values ever inverted; each one is recorded in the shared
@@ -18,6 +21,7 @@ with every result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Sequence, Union
 
 from .coefficients import LocalizedRing, ParamPolynomial
@@ -87,6 +91,9 @@ def hironaka_divide(
 
     Returns the unique quotients/remainder with cell-support certificates;
     dividend - sum(Q_i * divisor_i) - R has no term of degree <= trunc.
+    Working terms are taken least first from a heap keyed by order.key
+    (keys are injective, so ties never occur); each is split exactly once,
+    and each quotient term multiplies its divisor's tail once.
     """
     if not divisors:
         raise PreconditionError("need at least one divisor")
@@ -104,47 +111,38 @@ def hironaka_divide(
     for it in inits:
         _ensure_unit(ring, it.coefficient, new_dens)
 
-    tails = [d - it.monomial for d, it in zip(divisors, inits)]
+    tails = [
+        {e: c for e, c in d.terms.items() if e != it.exponent}
+        for d, it in zip(divisors, inits)
+    ]
 
     quotients = [dict() for _ in divisors]
     remainder: dict[ModExponent, object] = {}
     working = dict(dividend.terms)
+    key = order.key
+    heap = [(key(e), e) for e in working]
+    heapify(heap)
 
-    while working:
-        # split every current term into its cell's quotient or the remainder
-        step = [dict() for _ in divisors]
-        for e, c in working.items():
-            i = partition.cell_of(e)
-            if i is None:
-                remainder[e] = remainder.get(e, ring.zero) + c
-                if not remainder[e]:
-                    del remainder[e]
-            else:
-                beta = sub_alpha(e.alpha, inits[i].exponent.alpha)
-                step[i][beta] = ring.divide_by_unit(c, inits[i].coefficient)
-        # the split cancels all of `working`; what survives is minus the
-        # quotient steps times the divisor tails, every term strictly later
-        nxt: dict[ModExponent, object] = {}
-        for i, qstep in enumerate(step):
-            if not qstep:
+    while heap:
+        e = heappop(heap)[1]
+        c = working.pop(e)
+        if not c:
+            continue
+        i = partition.cell_of(e)
+        if i is None:
+            remainder[e] = c
+            continue
+        beta = sub_alpha(e.alpha, inits[i].exponent.alpha)
+        qc = ring.divide_by_unit(c, inits[i].coefficient)
+        quotients[i][beta] = qc
+        room = trunc - sum(beta)
+        for te, tc in tails[i].items():
+            if te.degree > room:
                 continue
-            qi = quotients[i]
-            for beta, qc in qstep.items():
-                qi[beta] = qi.get(beta, ring.zero) + qc
-                if not qi[beta]:
-                    del qi[beta]
-            for beta, qc in qstep.items():
-                shift = sum(beta)
-                for te, tc in tails[i].terms.items():
-                    if te.degree + shift > trunc:
-                        continue
-                    e = te.shift(beta)
-                    s = nxt.get(e, ring.zero) - qc * tc
-                    if s:
-                        nxt[e] = s
-                    else:
-                        nxt.pop(e, None)
-        working = nxt
+            t = te.shift(beta)
+            if t not in working:
+                heappush(heap, (key(t), t))
+            working[t] = working.get(t, ring.zero) - qc * tc
 
     q_series = tuple(
         TruncatedSeries(
@@ -227,9 +225,11 @@ def complete_to_standard_basis(
     work = list(gens)
     prov: list[tuple[TruncatedSeries, ...]] = [unit_vector(k) for k in range(q)]
     new_dens: list[ParamPolynomial] = []
-    exps = [g.initial(order).exponent for g in work]
+    exps = []
     for g in work:
-        _ensure_unit(ring, g.initial(order).coefficient, new_dens)
+        it = g.initial(order)
+        exps.append(it.exponent)
+        _ensure_unit(ring, it.coefficient, new_dens)
 
     part = DeltaPartition(exps)
     pending = [
@@ -248,7 +248,8 @@ def complete_to_standard_basis(
         r = res.remainder
         if r.is_zero:
             continue
-        _ensure_unit(ring, r.initial(order).coefficient, new_dens)
+        it = r.initial(order)
+        _ensure_unit(ring, it.coefficient, new_dens)
         # provenance: r = x^gamma * work[i] - sum_j Q_j * work[j]
         pvec = list(p_s.mul_monomial(one, gamma) for p_s in prov[i])
         for j, qj in enumerate(res.quotients):
@@ -257,7 +258,7 @@ def complete_to_standard_basis(
             pvec = [acc - qj.mul_series(term) for acc, term in zip(pvec, prov[j])]
         work.append(r)
         prov.append(tuple(pvec))
-        exps.append(r.initial(order).exponent)
+        exps.append(it.exponent)
         t = len(work) - 1
         pending.extend(
             (g2, t) for g2 in DeltaPartition(exps).box_complement_generators(t)

@@ -9,13 +9,18 @@ provided, both compatible with translation by N^n:
 * the slot-weighted order used for relation modules, which compares
   (alpha, i) by lex(L(alpha) + L(a_i), alpha + a_i, -i) where a_i is a fixed
   multi-index attached to slot i.
+
+Order keys carry L through its integer-scaled form (see PositiveLinearForm),
+so they are tuples of ints and compare without Fraction arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import AmbientMismatchError, PreconditionError
@@ -75,9 +80,15 @@ class Ordering(IntEnum):
 
 @dataclass(frozen=True)
 class PositiveLinearForm:
-    """L(alpha) = sum of weights[k] * alpha[k], all weights > 0."""
+    """L(alpha) = sum of weights[k] * alpha[k], all weights > 0.
+
+    int_weights are the weights times the lcm of their denominators, so
+    scaled(alpha) is L(alpha) times one fixed positive integer: it orders
+    exponents exactly as L does, in plain int arithmetic.
+    """
 
     weights: tuple[Fraction, ...]
+    int_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -87,6 +98,10 @@ class PositiveLinearForm:
             raise PreconditionError("linear form needs at least one weight")
         if any(w <= 0 for w in self.weights):
             raise PreconditionError(f"weights must be positive: {self.weights}")
+        scale = lcm(*(w.denominator for w in self.weights))
+        object.__setattr__(
+            self, "int_weights", tuple(int(w * scale) for w in self.weights)
+        )
 
     @classmethod
     def unit(cls, n: int) -> "PositiveLinearForm":
@@ -100,6 +115,9 @@ class PositiveLinearForm:
         return sum(
             (w * a for w, a in zip(self.weights, alpha)), start=Fraction(0)
         )
+
+    def scaled(self, alpha: Sequence[int]) -> int:
+        return sum(map(mul, self.int_weights, alpha))
 
 
 class StandardOrder:
@@ -115,7 +133,7 @@ class StandardOrder:
         return self.form.n
 
     def key(self, e: ModExponent):
-        return (self.form(e.alpha), e.comp, e.alpha)
+        return (self.form.scaled(e.alpha), e.comp, e.alpha)
 
     def compare(self, e1: ModExponent, e2: ModExponent) -> Ordering:
         _check_arity(self.n, e1, e2)
@@ -138,9 +156,9 @@ class SyzygyOrder:
     Slot i carries the initial exponent (a_i, j_i) of the i-th basis element.
     A multiplier exponent (alpha, i) is keyed by the product exponent it
     would produce, compared in the base order, with later slots losing ties:
-    key = (L(alpha)+L(a_i), j_i, alpha+a_i, -i).  For one-component modules
-    the j_i entry is constant and the key reduces to
-    (L(alpha)+L(a_i), alpha+a_i, -i).
+    key = (L(alpha+a_i), j_i, alpha+a_i, -i), with L scaled to integers.
+    For one-component modules the j_i entry is constant and the key reduces
+    to (L(alpha+a_i), alpha+a_i, -i).
     """
 
     __slots__ = ("form", "slots")
@@ -163,12 +181,8 @@ class SyzygyOrder:
 
     def key(self, e: ModExponent):
         s = self.slots[e.comp - 1]
-        return (
-            self.form(e.alpha) + self.form(s.alpha),
-            s.comp,
-            add_alpha(e.alpha, s.alpha),
-            -e.comp,
-        )
+        a = add_alpha(e.alpha, s.alpha)
+        return (self.form.scaled(a), s.comp, a, -e.comp)
 
     def compare(self, e1: ModExponent, e2: ModExponent) -> Ordering:
         _check_arity(self.n, e1, e2)

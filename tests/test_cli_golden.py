@@ -1,0 +1,98 @@
+"""Pinned CLI bytes: the sha256 of stdout and the exit code of every fixture
+command, as recorded in ``fixtures/cli_golden.json``.
+
+Identical inputs must give byte-identical results, including after a kernel
+is rewritten.  Over a localized ring this is not automatic: fractions are
+never gcd-reduced, so their printed form can depend on the order in which
+terms are summed.  A moved hash therefore means the engine changed its
+output; fix the engine rather than the file.  Regenerate the file only for an
+intended output change, from the repository root:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from formaldiv import cli
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "cli_golden.json"
+
+MODULES = (
+    "bad_degree.json", "bad_json.json", "family_defect.json",
+    "family_pivot.json", "family_relations.json", "family_seeded.json",
+    "module_squares.json", "module_unit.json", "module_weighted.json",
+    "module_zero_series.json",
+)
+DIVIDENDS = ("dividend_corner.json", "dividend_mixed.json", "dividend_param.json")
+GRIDS = {"family_defect.json": "t:-3..3"}
+
+
+def commands():
+    """Every golden command line, with paths relative to the fixture folder."""
+    for m in MODULES:
+        base = ["--module", m]
+        grid = GRIDS.get(m, "xi1:-2..2")
+        yield ["diagram", *base]
+        yield ["std-basis", *base]
+        yield ["std-basis", *base, "--canonical"]
+        yield ["syzygy", *base]
+        yield ["relations", *base]
+        yield ["relations", *base, "--format", "text"]
+        for d in DIVIDENDS:
+            yield ["divide", *base, "--dividend", d]
+            yield ["membership", *base, "--dividend", d]
+        yield ["compare-diagrams", *base, "--other", "module_squares.json"]
+        yield ["specialize", *base, "--at", "1/2"]
+        yield ["specialize", *base, "--at", "0"]
+        yield ["semicont-scan", *base, "--grid", grid, "--refine"]
+        yield ["semicont-scan", *base, "--points", "points_basic.json"]
+        yield ["semicont-scan", *base, "--seed", "5", "--count", "6"]
+        yield ["relations-check", *base, "--grid", grid]
+
+
+def run_captured(argv):
+    """(exit code, sha256 of stdout) of one CLI call run in the fixture folder."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(FIXTURES)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run_command(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_command():
+    assert sorted(_golden()) == sorted(" ".join(a) for a in commands())
+
+
+@pytest.mark.parametrize("argv", list(commands()), ids=" ".join)
+def test_cli_bytes_match_golden(argv):
+    expected = _golden()[" ".join(argv)]
+    code, digest = run_captured(argv)
+    assert {"exit": code, "sha256": digest} == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_cli_golden.py --write")
+    table = {}
+    for argv in commands():
+        code, digest = run_captured(argv)
+        table[" ".join(argv)] = {"exit": code, "sha256": digest}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} entries to {GOLDEN}")

@@ -1,0 +1,134 @@
+"""Property tests: the division contract and the order keys, on random QQ
+series under random positive weights (fractional ones included)."""
+
+from datetime import timedelta
+from fractions import Fraction
+from functools import lru_cache, partial
+
+from hypothesis import given, settings, strategies as st
+
+from formaldiv import (
+    QQ,
+    ModExponent,
+    PositiveLinearForm,
+    Ordering,
+    StandardOrder,
+    TruncatedSeries,
+    hironaka_divide,
+)
+from formaldiv.division import residual
+from formaldiv.exponents import SyzygyOrder, add_alpha
+
+PROPS = settings(max_examples=25, deadline=timedelta(seconds=5), database=None)
+
+weights_st = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3, 2)]),
+    st.builds(Fraction, st.integers(1, 7), st.integers(1, 6)),
+)
+coeff_st = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def ambients(draw):
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 2))
+    trunc = draw(st.integers(2, {1: 7, 2: 6, 3: 4}[n]))
+    form = PositiveLinearForm(tuple(draw(weights_st) for _ in range(n)))
+    return n, p, trunc, StandardOrder(form)
+
+
+def _exponent(n, variables, comp):
+    # a list of variable indices of length <= max_degree, read as a monomial
+    return ModExponent(tuple(variables.count(k) for k in range(n)), comp)
+
+
+@lru_cache(maxsize=None)
+def exponents(n, p, max_degree):
+    return st.builds(
+        partial(_exponent, n),
+        st.lists(st.integers(0, n - 1), max_size=max_degree),
+        st.integers(1, p),
+    )
+
+
+@lru_cache(maxsize=None)
+def series(n, p, trunc, max_terms, min_terms=1):
+    terms = st.dictionaries(
+        exponents(n, p, trunc), coeff_st, min_size=min_terms, max_size=max_terms
+    )
+    return terms.map(lambda t: TruncatedSeries(n, p, trunc, QQ, t))
+
+
+@st.composite
+def division_instances(draw, dividends=1):
+    n, p, trunc, order = draw(ambients())
+    divisors = draw(st.lists(series(n, p, trunc, 5), min_size=1, max_size=3))
+    fs = [draw(series(n, p, trunc, 10, min_terms=0)) for _ in range(dividends)]
+    return order, divisors, fs
+
+
+@PROPS
+@given(division_instances())
+def test_division_contract(inst):
+    order, divisors, (f,) = inst
+    res = hironaka_divide(order, divisors, f)
+    assert residual(res, divisors, f).is_zero
+    inits = [d.initial(order).exponent for d in divisors]
+    for i, q in enumerate(res.quotients):
+        for beta in q.terms:
+            assert res.partition.cell_of(inits[i].shift(beta.alpha)) == i
+    assert all(res.partition.cell_of(e) is None for e in res.remainder.terms)
+
+
+@PROPS
+@given(division_instances())
+def test_remainder_divides_to_itself(inst):
+    order, divisors, (f,) = inst
+    r = hironaka_divide(order, divisors, f).remainder
+    again = hironaka_divide(order, divisors, r)
+    assert all(q.is_zero for q in again.quotients)
+    assert again.remainder == r
+
+
+@PROPS
+@given(division_instances(dividends=2))
+def test_division_is_additive(inst):
+    order, divisors, (f, g) = inst
+    rf, rg, rs = (hironaka_divide(order, divisors, h) for h in (f, g, f + g))
+    assert rs.remainder == rf.remainder + rg.remainder
+    for qs, qf, qg in zip(rs.quotients, rf.quotients, rg.quotients):
+        assert qs == qf + qg
+
+
+def _sign(a, b):
+    return Ordering.LESS if a < b else Ordering.GREATER if a > b else Ordering.EQUAL
+
+
+@PROPS
+@given(st.data())
+def test_order_keys_match_fraction_tuples(data):
+    n, p, trunc, order = data.draw(ambients())
+    form = order.form
+    exps = data.draw(st.lists(exponents(n, p, trunc), min_size=2, max_size=12, unique=True))
+
+    def old_std(e):
+        return (form(e.alpha), e.comp, e.alpha)
+
+    assert sorted(exps, key=order.key) == sorted(exps, key=old_std)
+    for e1, e2 in zip(exps, exps[1:]):
+        assert order.compare(e1, e2) == _sign(old_std(e1), old_std(e2))
+
+    slots = data.draw(st.lists(exponents(n, p, trunc), min_size=1, max_size=4))
+    syz = SyzygyOrder(form, slots)
+    rel = [
+        ModExponent(e.alpha, data.draw(st.integers(1, len(slots)))) for e in exps
+    ]
+    rel = list(dict.fromkeys(rel))
+
+    def old_syz(e):
+        s = slots[e.comp - 1]
+        return (form(e.alpha) + form(s.alpha), s.comp, add_alpha(e.alpha, s.alpha), -e.comp)
+
+    assert sorted(rel, key=syz.key) == sorted(rel, key=old_syz)
+    for e1, e2 in zip(rel, rel[1:]):
+        assert syz.compare(e1, e2) == _sign(old_syz(e1), old_syz(e2))
