@@ -18,58 +18,50 @@ caller and echoed in every output.
 
 __version__ = "0.1.0"
 
-from .coefficients import (
-    QQ,
-    DenominatorSet,
-    LocalizedFraction,
-    LocalizedRing,
-    ParamPolynomial,
-    PolynomialRing,
-    format_coefficient,
-    parse_coefficient,
-)
-from .division import (
-    DivisionResult,
-    StandardBasis,
-    canonicalize,
-    complete_to_standard_basis,
-    hironaka_divide,
-    is_member,
-    minimal_generating_subset,
-)
-from .exponents import (
-    DeltaPartition,
-    Diagram,
-    ModExponent,
-    Ordering,
-    PositiveLinearForm,
-    StandardOrder,
-    SyzygyOrder,
-    compare_diagrams,
-    diagram_from_exponents,
-    syzygy_order_for,
-)
-from .families import (
-    ExceptionalCertificates,
-    ParamModule,
-    SemicontinuityReport,
-    generic_diagram,
-    grid_points,
-    oracle_relations,
-    relation_multiplier_bound,
-    sample_points,
-    semicontinuity_scan,
-    specialize,
-    specialized_relations_check,
-)
-from .series import InitialData, TruncatedSeries
-from .syzygies import (
-    RelationPresentation,
-    SyzygyBasis,
-    reduce_relation,
-    relations_of_generators,
-    standard_relations,
-    syzygy_diagram,
-)
+# Public names by submodule.  A submodule is imported on first access to one
+# of its names (PEP 562), so ``import formaldiv`` loads none of them.
+_EXPORTS = {
+    "coefficients": (
+        "QQ", "DenominatorSet", "LocalizedFraction", "LocalizedRing",
+        "ParamPolynomial", "PolynomialRing", "format_coefficient",
+        "parse_coefficient",
+    ),
+    "division": (
+        "DivisionResult", "StandardBasis", "canonicalize",
+        "complete_to_standard_basis", "hironaka_divide", "is_member",
+        "minimal_generating_subset",
+    ),
+    "exponents": (
+        "DeltaPartition", "Diagram", "ModExponent", "Ordering",
+        "PositiveLinearForm", "StandardOrder", "SyzygyOrder",
+        "compare_diagrams", "diagram_from_exponents", "syzygy_order_for",
+    ),
+    "families": (
+        "ExceptionalCertificates", "ParamModule", "SemicontinuityReport",
+        "generic_diagram", "grid_points", "oracle_relations",
+        "relation_multiplier_bound", "sample_points", "semicontinuity_scan",
+        "specialize", "specialized_relations_check",
+    ),
+    "series": ("InitialData", "TruncatedSeries"),
+    "syzygies": (
+        "RelationPresentation", "SyzygyBasis", "reduce_relation",
+        "relations_of_generators", "standard_relations", "syzygy_diagram",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -21,15 +21,8 @@ from .errors import (
     SchemaError,
 )
 from .exponents import compare_diagrams
-from .families import (
-    generic_diagram,
-    grid_points,
-    sample_points,
-    semicontinuity_scan,
-    specialize,
-    specialized_relations_check,
-)
-from .syzygies import relations_of_generators, standard_relations
+
+# families and syzygies are imported by the subcommands that run them.
 
 SUBCOMMANDS = (
     "divide", "diagram", "std-basis", "membership", "syzygy", "relations",
@@ -156,6 +149,7 @@ def _point_source(args, pm, hashes):
     Returns (points, refinement points or None, source descriptor); the
     descriptor is echoed in the payload so sampling is reproducible.
     """
+    from .families import grid_points, sample_points
     arity = len(pm.param_names)
     if args.points:
         hashes["points"] = io.hash_file(args.points)
@@ -205,6 +199,7 @@ def _dispatch(args):
 
     if command == "diagram":
         if mod.is_parametric:
+            from .families import generic_diagram
             diag, certs = generic_diagram(mod.param_module())
             payload = {
                 "truncation_degree": mod.trunc,
@@ -260,6 +255,7 @@ def _dispatch(args):
         return payload, hashes
 
     if command == "syzygy":
+        from .syzygies import standard_relations
         basis = complete_to_standard_basis(order, _prepare(mod))
         syz = standard_relations(basis)
         payload = {
@@ -273,6 +269,7 @@ def _dispatch(args):
         return payload, hashes
 
     if command == "relations":
+        from .syzygies import relations_of_generators
         pres = relations_of_generators(order, _prepare(mod))
         payload = {
             "truncation_degree": mod.trunc,
@@ -286,6 +283,7 @@ def _dispatch(args):
 
         def diagram_of(m):
             if m.is_parametric:
+                from .families import generic_diagram
                 return generic_diagram(m.param_module())[0]
             return complete_to_standard_basis(m.order, m.generators()).diagram
 
@@ -298,6 +296,7 @@ def _dispatch(args):
         return payload, hashes
 
     if command == "specialize":
+        from .families import specialize
         pm = mod.param_module()
         point = _parse_point(args.at, len(pm.param_names))
         hashes["point"] = io.hash_bytes(args.at.encode())
@@ -309,6 +308,7 @@ def _dispatch(args):
         return payload, hashes
 
     if command == "semicont-scan":
+        from .families import semicontinuity_scan
         pm = mod.param_module()
         points, refine, source = _point_source(args, pm, hashes)
         report = semicontinuity_scan(pm, points, refine)
@@ -317,6 +317,7 @@ def _dispatch(args):
         return payload, hashes
 
     if command == "relations-check":
+        from .families import specialized_relations_check
         pm = mod.param_module()
         points, _, source = _point_source(args, pm, hashes)
         report = specialized_relations_check(pm, points)

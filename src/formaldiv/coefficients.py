@@ -206,6 +206,7 @@ class DenominatorSet:
     def __init__(self, names, seed=()):
         self.names = tuple(names)
         self.generators: list[ParamPolynomial] = []
+        self._factor_memo: dict = {}
         for g in seed:
             if not g:
                 raise PreconditionError("zero polynomial in denominator set")
@@ -232,10 +233,18 @@ class DenominatorSet:
         """Decompose p as c * product of generator powers.
 
         Returns (c, {generator index: power}) or None when no such
-        decomposition exists with the current generators.
+        decomposition exists with the current generators.  Results are
+        memoized on (p, generator count): the generator list only grows and
+        the search reads only the generators present when it runs.  The
+        powers dict is shared between calls, so callers only read it.
         """
         if not p:
             return None
+        key = (p, len(self.generators))
+        try:
+            return self._factor_memo[key]
+        except KeyError:
+            pass
 
         def walk(q):
             if q.is_constant:
@@ -251,7 +260,8 @@ class DenominatorSet:
                         return c, pw
             return None
 
-        return walk(p)
+        res = self._factor_memo[key] = walk(p)
+        return res
 
     def power_product(self, powers: dict[int, int]) -> ParamPolynomial:
         out = ParamPolynomial.constant(self.names, 1)

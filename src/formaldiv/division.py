@@ -20,9 +20,8 @@ with every result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .coefficients import LocalizedRing, ParamPolynomial
 from .errors import (
@@ -39,8 +38,7 @@ from .exponents import (
 from .series import TruncatedSeries
 
 
-@dataclass
-class DivisionResult:
+class DivisionResult(NamedTuple):
     """Quotients, remainder and the support certificates they satisfy."""
 
     quotients: tuple[TruncatedSeries, ...]
@@ -49,8 +47,7 @@ class DivisionResult:
     new_denominators: tuple[ParamPolynomial, ...] = ()
 
 
-@dataclass
-class StandardBasis:
+class StandardBasis(NamedTuple):
     """Vertex representatives of a module of truncated series vectors.
 
     elements[i] has initial exponent equal to diagram.vertices[i]; provenance

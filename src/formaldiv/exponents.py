@@ -16,12 +16,11 @@ so they are tuples of ints and compare without Fraction arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import AmbientMismatchError, PreconditionError
 
@@ -45,18 +44,25 @@ def clipped_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(max(x - y, 0) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True, slots=True)
-class ModExponent:
-    """A point of N^n x {1..p}: multi-index plus 1-based component slot."""
-
+class _ModExponentFields(NamedTuple):
     alpha: tuple[int, ...]
     comp: int = 1
 
-    def __post_init__(self):
-        if self.comp < 1:
-            raise PreconditionError(f"component must be >= 1, got {self.comp}")
-        if any(a < 0 for a in self.alpha):
-            raise PreconditionError(f"negative entry in multi-index {self.alpha}")
+
+class ModExponent(_ModExponentFields):
+    """A point of N^n x {1..p}: multi-index plus 1-based component slot.
+
+    A tuple (alpha, comp), so hashing and equality run in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: tuple[int, ...], comp: int = 1):
+        if comp < 1:
+            raise PreconditionError(f"component must be >= 1, got {comp}")
+        if any(a < 0 for a in alpha):
+            raise PreconditionError(f"negative entry in multi-index {alpha}")
+        return tuple.__new__(cls, (alpha, comp))
 
     @property
     def degree(self) -> int:
@@ -78,30 +84,36 @@ class Ordering(IntEnum):
     GREATER = 1
 
 
-@dataclass(frozen=True)
 class PositiveLinearForm:
     """L(alpha) = sum of weights[k] * alpha[k], all weights > 0.
 
     int_weights are the weights times the lcm of their denominators, so
     scaled(alpha) is L(alpha) times one fixed positive integer: it orders
-    exponents exactly as L does, in plain int arithmetic.
+    exponents exactly as L does, in plain int arithmetic.  Equality and
+    hashing read the weights only.
     """
 
-    weights: tuple[Fraction, ...]
-    int_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("weights", "int_weights")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple(Fraction(w) for w in self.weights)
-        )
+    def __init__(self, weights: Sequence[Fraction]):
+        self.weights = tuple(Fraction(w) for w in weights)
         if not self.weights:
             raise PreconditionError("linear form needs at least one weight")
         if any(w <= 0 for w in self.weights):
             raise PreconditionError(f"weights must be positive: {self.weights}")
         scale = lcm(*(w.denominator for w in self.weights))
-        object.__setattr__(
-            self, "int_weights", tuple(int(w * scale) for w in self.weights)
-        )
+        self.int_weights = tuple(int(w * scale) for w in self.weights)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __hash__(self):
+        return hash((self.weights,))
+
+    def __repr__(self):
+        return f"PositiveLinearForm(weights={self.weights!r})"
 
     @classmethod
     def unit(cls, n: int) -> "PositiveLinearForm":

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .coefficients import (
     QQ,
@@ -45,23 +44,27 @@ from .series import TruncatedSeries
 from .syzygies import RelationPresentation, active_part, relations_of_generators
 
 
-@dataclass
-class ParamModule:
-    """A tuple of series generators with polynomial parameter coefficients."""
-
+class _ParamModuleFields(NamedTuple):
     order: StandardOrder
     generators: tuple[TruncatedSeries, ...]
     param_names: tuple[str, ...]
     denominator_seed: tuple[ParamPolynomial, ...] = ()
 
-    def __post_init__(self):
-        if not self.generators:
+
+class ParamModule(_ParamModuleFields):
+    """A tuple of series generators with polynomial parameter coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, order, generators, param_names, denominator_seed=()):
+        if not generators:
             raise PreconditionError("family needs at least one generator")
-        first = self.generators[0]
-        for g in self.generators:
+        first = generators[0]
+        for g in generators:
             first._check(g)
             if g.is_zero:
                 raise PreconditionError("zero generator in parametrized family")
+        return tuple.__new__(cls, (order, generators, param_names, denominator_seed))
 
     @property
     def n(self) -> int:
@@ -112,8 +115,7 @@ def specialize(pm: ParamModule, point: Sequence[Fraction]) -> list[TruncatedSeri
     ]
 
 
-@dataclass
-class ExceptionalCertificates:
+class ExceptionalCertificates(NamedTuple):
     """Polynomials whose joint nonvanishing certifies generic behaviour."""
 
     initial_coefficients: tuple[ParamPolynomial, ...]
@@ -159,8 +161,7 @@ def generic_diagram(pm: ParamModule) -> tuple[Diagram, ExceptionalCertificates]:
     return basis.diagram, certs
 
 
-@dataclass
-class PointRecord:
+class PointRecord(NamedTuple):
     point: tuple[Fraction, ...]
     status: str  # "ok" | "skipped"
     reason: Optional[str] = None
@@ -169,14 +170,12 @@ class PointRecord:
     certificates_nonzero: Optional[tuple[bool, ...]] = None
 
 
-@dataclass
-class RefinementInfo:
+class RefinementInfo(NamedTuple):
     census: list[tuple[Diagram, int]]
     stable: bool
 
 
-@dataclass
-class SemicontinuityReport:
+class SemicontinuityReport(NamedTuple):
     generic: Diagram
     certificates: ExceptionalCertificates
     records: list[PointRecord]
@@ -328,8 +327,7 @@ def oracle_relations(
     return out
 
 
-@dataclass
-class RelationsPointRecord:
+class RelationsPointRecord(NamedTuple):
     point: tuple[Fraction, ...]
     status: str  # "ok" | "skipped"
     reason: Optional[str] = None
@@ -337,8 +335,7 @@ class RelationsPointRecord:
     all_spanned: Optional[bool] = None
 
 
-@dataclass
-class RelationsCheckReport:
+class RelationsCheckReport(NamedTuple):
     presentation: RelationPresentation
     certificates: ExceptionalCertificates
     records: list[RelationsPointRecord]

@@ -13,10 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import __version__
 from .coefficients import (
@@ -29,22 +27,23 @@ from .coefficients import (
 )
 from .errors import ExpressionError, SchemaError
 from .exponents import Diagram, ModExponent, Ordering, PositiveLinearForm, StandardOrder
-from .families import (
-    ExceptionalCertificates,
-    ParamModule,
-    RelationsCheckReport,
-    SemicontinuityReport,
-)
 from .series import TruncatedSeries
-from .syzygies import RelationPresentation
+
+if TYPE_CHECKING:
+    from .families import (
+        ExceptionalCertificates,
+        ParamModule,
+        RelationsCheckReport,
+        SemicontinuityReport,
+    )
+    from .syzygies import RelationPresentation
 
 
 # ---------------------------------------------------------------------------
 # loading
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LoadedModule:
+class LoadedModule(NamedTuple):
     """A validated module file: order, ring, and named series in file order."""
 
     n: int
@@ -66,6 +65,7 @@ class LoadedModule:
     def param_module(self) -> ParamModule:
         if not self.is_parametric:
             raise SchemaError("module file declares no parameters")
+        from .families import ParamModule
         return ParamModule(
             order=self.order,
             generators=tuple(self.generators()),
@@ -431,11 +431,17 @@ def emit_result(result: dict, fmt: str = "json") -> bytes:
 
 
 def write_atomic(path, data: bytes):
+    """Replace path with data; the file gets mode 0o666 less the umask, as
+    a plain create would, not mkstemp's 0o600."""
+    import tempfile
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".formaldiv-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

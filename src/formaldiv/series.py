@@ -9,8 +9,7 @@ Values are treated as immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .coefficients import Coefficient
 from .errors import (
@@ -211,8 +210,7 @@ class TruncatedSeries:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class InitialData:
+class InitialData(NamedTuple):
     """Initial exponent and coefficient of a nonzero series."""
 
     exponent: ModExponent

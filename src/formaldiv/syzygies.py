@@ -19,8 +19,7 @@ denominators together with the constant term of one determinant.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .coefficients import Coefficient, LocalizedFraction, LocalizedRing, ParamPolynomial
 from .division import (
@@ -63,8 +62,7 @@ def syzygy_diagram(partition: DeltaPartition, *, order: SyzygyOrder) -> Diagram:
     return diagram_from_exponents(exps, n=partition.n, p=q, order=order)
 
 
-@dataclass
-class SyzygyBasis:
+class SyzygyBasis(NamedTuple):
     """Distinguished relations of a standard basis, one per diagram vertex."""
 
     source: StandardBasis
@@ -224,8 +222,7 @@ def _adjugate_series(m, one):
     return adj
 
 
-@dataclass
-class RelationPresentation:
+class RelationPresentation(NamedTuple):
     """Generators of the relation module of an arbitrary generator list.
 
     relations annihilate the input generators (in their original component

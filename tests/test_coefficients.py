@@ -111,6 +111,15 @@ def test_unit_factoring_backtracks_over_composite_generators():
     assert c == 1 and powers == {0: 1, 1: 1}
 
 
+def test_unit_factoring_sees_generators_registered_later():
+    names = ("a", "b")
+    dset = DenominatorSet(names, seed=[parse_coefficient("a", names)])
+    target = parse_coefficient("2*a*b", names)
+    assert dset.factor_as_unit(target) is None
+    assert dset.register(parse_coefficient("b", names)) is not None
+    assert dset.factor_as_unit(target) == (2, {0: 1, 1: 1})
+
+
 # -- evaluation ------------------------------------------------------------------
 
 def test_evaluate_polynomial():

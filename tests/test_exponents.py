@@ -275,3 +275,29 @@ def test_iter_alphas_counts_and_order():
             assert len(set(alphas)) == len(alphas)
             degrees = [sum(a) for a in alphas]
             assert degrees == sorted(degrees)
+
+
+# -- records ----------------------------------------------------------------------
+
+def test_mod_exponent_validates_and_behaves_as_a_value():
+    with pytest.raises(PreconditionError):
+        ModExponent((1, -1), 1)
+    with pytest.raises(PreconditionError):
+        ModExponent((1, 2), 0)
+    e = ModExponent((1, 2))
+    assert e.alpha == (1, 2) and e.comp == 1
+    assert e == ModExponent(alpha=(1, 2), comp=1) != ModExponent((1, 2), 2)
+    assert hash(e) == hash(ModExponent((1, 2), 1)) == hash(((1, 2), 1))
+    with pytest.raises(AttributeError):
+        e.comp = 2
+    assert repr(e) == "ModExponent(alpha=(1, 2), comp=1)"
+
+
+def test_positive_linear_form_equality_reads_weights_only():
+    f = PositiveLinearForm((Fraction(1, 2), 1))
+    g = PositiveLinearForm((Fraction(1, 2), Fraction(1)))
+    assert f.int_weights == (1, 2)
+    g.int_weights = (7, 7)
+    assert f == g and hash(f) == hash(g) == hash((f.weights,))
+    assert f != PositiveLinearForm.unit(2)
+    assert repr(f) == "PositiveLinearForm(weights=(Fraction(1, 2), Fraction(1, 1)))"

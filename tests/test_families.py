@@ -79,6 +79,17 @@ def test_specialize_arity_check():
         specialize(pm, (Fraction(1), Fraction(2)))
 
 
+def test_param_module_rejects_empty_or_zero_generators():
+    ring = PolynomialRing(("xi",))
+    zero = TruncatedSeries(1, 1, 4, ring, {})
+    with pytest.raises(PreconditionError):
+        ParamModule(order=unit_order(1), generators=(), param_names=("xi",))
+    with pytest.raises(PreconditionError):
+        ParamModule(order=unit_order(1), generators=(family_xi().generators[0], zero),
+                    param_names=("xi",))
+    assert family_xi().denominator_seed == ()
+
+
 # -- generic diagrams -----------------------------------------------------------------
 
 def test_generic_diagram_unit_family():

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 from fractions import Fraction
 from pathlib import Path
 
@@ -317,3 +318,17 @@ def test_output_written_atomically(tmp_path):
     assert out.exists()
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".formaldiv-")]
     assert not leftovers
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_file_mode_follows_umask(tmp_path, umask):
+    out, plain = tmp_path / "result.json", tmp_path / "plain.json"
+    old = os.umask(umask)
+    try:
+        assert run("diagram", "--module", fx("module_unit.json"),
+                   "--out", str(out)) == 0
+        plain.write_bytes(b"")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)

@@ -1,0 +1,92 @@
+"""What importing formaldiv and running one CLI call loads.
+
+Each footprint check runs a fresh interpreter without the site hook
+(``python -S``), so only what the code itself imports is in ``sys.modules``.
+Nothing is timed.
+"""
+
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import formaldiv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = Path(__file__).parent / "fixtures"
+SUBMODULES = {"cli", "coefficients", "division", "errors", "exponents",
+              "families", "io", "linalg", "series", "syzygies"}
+
+
+def loaded_after(code):
+    """Names in sys.modules after running code in a fresh interpreter."""
+    prog = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", prog],
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def formaldiv_modules(names):
+    return {n.split(".", 1)[1] for n in names if n.startswith("formaldiv.")}
+
+
+def cli_call(*argv):
+    return f"import formaldiv.cli\nassert formaldiv.cli.run_command({list(argv)!r}) == 0"
+
+
+# -- import footprint ----------------------------------------------------------
+
+def test_import_package_loads_no_submodule():
+    assert formaldiv_modules(loaded_after("import formaldiv")) == set()
+
+
+def test_import_cli_loads_the_division_path_only():
+    names = loaded_after("import formaldiv.cli")
+    assert formaldiv_modules(names) == {
+        "cli", "io", "errors", "coefficients", "exponents", "series", "division",
+    }
+    assert "dataclasses" not in names and "inspect" not in names
+
+
+def test_divide_loads_no_family_or_relation_module(tmp_path):
+    names = loaded_after(cli_call(
+        "divide", "--module", str(FIXTURES / "module_squares.json"),
+        "--dividend", str(FIXTURES / "dividend_mixed.json"),
+        "--out", str(tmp_path / "r.json"),
+    ))
+    assert not formaldiv_modules(names) & {"families", "syzygies", "linalg"}
+    assert "dataclasses" not in names and "inspect" not in names
+
+
+def test_relations_loads_syzygies_but_not_families(tmp_path):
+    mods = formaldiv_modules(loaded_after(cli_call(
+        "relations", "--module", str(FIXTURES / "module_squares.json"),
+        "--out", str(tmp_path / "r.json"),
+    )))
+    assert "syzygies" in mods
+    assert not mods & {"families", "linalg"}
+
+
+# -- package namespace ---------------------------------------------------------
+
+def test_public_names_are_the_submodule_objects():
+    assert len(formaldiv.__all__) == 44
+    assert not set(formaldiv.__all__) & SUBMODULES
+    for name in formaldiv.__all__:
+        module = import_module(f"formaldiv.{formaldiv._MODULE_OF[name]}")
+        assert getattr(formaldiv, name) is getattr(module, name)
+
+
+def test_star_import_and_dir():
+    namespace = {}
+    exec("from formaldiv import *", namespace)
+    assert set(formaldiv.__all__) <= set(namespace)
+    assert set(formaldiv.__all__) <= set(dir(formaldiv))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        formaldiv.no_such_name
