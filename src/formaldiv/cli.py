@@ -88,13 +88,13 @@ def _named_series_payload(names, series_list, order):
 def _prepare(mod):
     """Generators over the working ring (localized for parametric modules)."""
     if mod.is_parametric:
-        pm = mod.param_module()
-        ring, gens = pm.localized()
-        return gens
+        return mod.param_module().localized()[1]
     return mod.generators()
 
 
 def _load_dividend(args, mod):
+    """The module's generators over the working ring, and the dividend file's
+    one series lifted into that ring."""
     div = io.parse_module_file(args.dividend)
     if (div.n, div.p, div.trunc) != (mod.n, mod.p, mod.trunc):
         raise SchemaError(
@@ -107,7 +107,12 @@ def _load_dividend(args, mod):
         raise SchemaError("dividend parameters differ from module")
     if len(div.series_names) != 1:
         raise SchemaError("dividend file must contain exactly one series")
-    return div.series[div.series_names[0]]
+    gens = _prepare(mod)
+    dividend = div.series[div.series_names[0]]
+    if mod.is_parametric:
+        ring = gens[0].ring
+        dividend = dividend.map_coefficients(ring.from_poly, ring)
+    return gens, dividend
 
 
 def _parse_point(text, arity):
@@ -179,11 +184,7 @@ def _dispatch(args):
 
     if command == "divide":
         hashes["dividend"] = io.hash_file(args.dividend)
-        dividend = _load_dividend(args, mod)
-        gens = _prepare(mod)
-        if mod.is_parametric:
-            ring = gens[0].ring
-            dividend = dividend.map_coefficients(ring.from_poly, ring)
+        gens, dividend = _load_dividend(args, mod)
         res = hironaka_divide(order, gens, dividend)
         payload = {
             "truncation_degree": mod.trunc,
@@ -234,11 +235,7 @@ def _dispatch(args):
 
     if command == "membership":
         hashes["dividend"] = io.hash_file(args.dividend)
-        g = _load_dividend(args, mod)
-        gens = _prepare(mod)
-        if mod.is_parametric:
-            ring = gens[0].ring
-            g = g.map_coefficients(ring.from_poly, ring)
+        gens, g = _load_dividend(args, mod)
         basis = complete_to_standard_basis(order, gens)
         member, res = is_member(order, basis, g)
         payload = {

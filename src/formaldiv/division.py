@@ -24,10 +24,7 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Sequence, Union
 
 from .coefficients import LocalizedRing, ParamPolynomial
-from .errors import (
-    PreconditionError,
-    ZeroDivisorError,
-)
+from .errors import PreconditionError, ZeroDivisorError
 from .exponents import (
     DeltaPartition,
     Diagram,
@@ -47,28 +44,71 @@ class DivisionResult(NamedTuple):
     new_denominators: tuple[ParamPolynomial, ...] = ()
 
 
-class StandardBasis(NamedTuple):
+class StandardBasis:
     """Vertex representatives of a module of truncated series vectors.
 
-    elements[i] has initial exponent equal to diagram.vertices[i]; provenance
-    expresses each element in the original generators (valid modulo degree >
-    trunc).  canonical means each element is its vertex monomial plus a tail
-    supported outside the diagram.
+    elements[i] has initial exponent equal to diagram.vertices[i].  canonical
+    means each element is its vertex monomial plus a tail supported outside
+    the diagram.  provenance expresses each element in the original
+    generators (valid modulo degree > trunc).  It is not built with the
+    basis: completion and canonicalize keep only the division quotients they
+    already have, and provenance replays them each time it is read.
     """
 
-    diagram: Diagram
-    elements: tuple[TruncatedSeries, ...]
-    provenance: tuple[tuple[TruncatedSeries, ...], ...]
-    order: object
-    canonical: bool = False
-    new_denominators: tuple[ParamPolynomial, ...] = ()
+    __slots__ = ("diagram", "elements", "order", "canonical", "new_denominators", "_record")
+
+    def __init__(self, diagram: Diagram, elements: tuple[TruncatedSeries, ...], order,
+                 record, canonical=False, new_denominators: tuple[ParamPolynomial, ...] = ()):
+        self.diagram, self.elements, self.order = diagram, elements, order
+        self.canonical, self.new_denominators = canonical, new_denominators
+        self._record = record  # (q, steps, index), or (source, rows) if canonical
 
     @property
     def vertices(self) -> tuple[ModExponent, ...]:
         return self.diagram.vertices
 
+    @property
+    def provenance(self) -> tuple[tuple[TruncatedSeries, ...], ...]:
+        if self.canonical:
+            return _replay_canonical(*self._record)
+        return _replay_completion(self.elements[0], *self._record)
+
     def __len__(self):
         return len(self.elements)
+
+
+def _replay_completion(first, q, steps, index):
+    """Provenance of the work list elements at index, from the completion's
+    (gamma, i, quotients) steps over q generators."""
+    n, trunc, ring = first.n, first.trunc, first.ring
+    one = ring.one
+    zero = TruncatedSeries.zero(n, 1, trunc, ring)
+    unit = TruncatedSeries.monomial(ModExponent((0,) * n, 1), one, n, 1, trunc, ring)
+    prov = [tuple(unit if j == k else zero for j in range(q)) for k in range(q)]
+    for gamma, i, quotients in steps:
+        # r = x^gamma * work[i] - sum_j Q_j * work[j]
+        pvec = [p_s.mul_monomial(one, gamma) for p_s in prov[i]]
+        for qj, row in zip(quotients, prov):
+            if qj.is_zero:
+                continue
+            pvec = [acc - qj.mul_series(term) for acc, term in zip(pvec, row)]
+        prov.append(tuple(pvec))
+    return tuple(prov[k] for k in index)
+
+
+def _replay_canonical(source, rows):
+    """Provenance of canonical elements sum_j Q_j * source_j."""
+    prov = source.provenance
+    out = []
+    for quotients in rows:
+        pvec = None
+        for qj, pv in zip(quotients, prov):
+            contrib = tuple(qj.mul_series(t) for t in pv)
+            pvec = contrib if pvec is None else tuple(
+                a + b for a, b in zip(pvec, contrib)
+            )
+        out.append(pvec)
+    return tuple(out)
 
 
 def _ensure_unit(ring, coeff, sink: list):
@@ -208,19 +248,9 @@ def complete_to_standard_basis(
         if g.is_zero:
             raise ZeroDivisorError("zero series among the generators")
 
-    q = len(gens)
     one = ring.one
-
-    def unit_vector(k):
-        return tuple(
-            TruncatedSeries.monomial(ModExponent((0,) * n, 1), one, n, 1, trunc, ring)
-            if j == k
-            else TruncatedSeries.zero(n, 1, trunc, ring)
-            for j in range(q)
-        )
-
     work = list(gens)
-    prov: list[tuple[TruncatedSeries, ...]] = [unit_vector(k) for k in range(q)]
+    steps = []  # (gamma, i, quotients) of each appended remainder
     new_dens: list[ParamPolynomial] = []
     exps = []
     for g in work:
@@ -247,14 +277,8 @@ def complete_to_standard_basis(
             continue
         it = r.initial(order)
         _ensure_unit(ring, it.coefficient, new_dens)
-        # provenance: r = x^gamma * work[i] - sum_j Q_j * work[j]
-        pvec = list(p_s.mul_monomial(one, gamma) for p_s in prov[i])
-        for j, qj in enumerate(res.quotients):
-            if qj.is_zero:
-                continue
-            pvec = [acc - qj.mul_series(term) for acc, term in zip(pvec, prov[j])]
         work.append(r)
-        prov.append(tuple(pvec))
+        steps.append((gamma, i, res.quotients))
         exps.append(it.exponent)
         t = len(work) - 1
         pending.extend(
@@ -262,20 +286,10 @@ def complete_to_standard_basis(
         )
 
     diagram = diagram_from_exponents(exps, n=n, p=p, order=order)
-    elements = []
-    provenance = []
-    for v in diagram.vertices:
-        idx = next(i for i, e in enumerate(exps) if e == v)
-        elements.append(work[idx])
-        provenance.append(prov[idx])
-    return StandardBasis(
-        diagram=diagram,
-        elements=tuple(elements),
-        provenance=tuple(provenance),
-        order=order,
-        canonical=False,
-        new_denominators=tuple(dict.fromkeys(new_dens)),
-    )
+    index = tuple(exps.index(v) for v in diagram.vertices)
+    return StandardBasis(diagram, tuple(work[k] for k in index), order,
+                         (len(gens), tuple(steps), index),
+                         new_denominators=tuple(dict.fromkeys(new_dens)))
 
 
 def canonicalize(basis: StandardBasis) -> StandardBasis:
@@ -284,34 +298,19 @@ def canonicalize(basis: StandardBasis) -> StandardBasis:
     The result is the unique such basis modulo degree > trunc, independent of
     which generators produced the diagram.
     """
-    order = basis.order
+    order, first = basis.order, basis.elements[0]
     new_dens = list(basis.new_denominators)
     elements = []
-    provenance = []
+    rows = []  # each element's quotients over the source basis
     for v in basis.diagram.vertices:
-        sample = basis.elements[0]
         mono = TruncatedSeries.monomial(
-            v, sample.ring.one, sample.n, sample.p, sample.trunc, sample.ring
-        )
+            v, first.ring.one, first.n, first.p, first.trunc, first.ring)
         res = hironaka_divide(order, basis.elements, mono)
         new_dens.extend(res.new_denominators)
-        psi = mono - res.remainder
-        pvec = None
-        for qj, pv in zip(res.quotients, basis.provenance):
-            contrib = tuple(qj.mul_series(t) for t in pv)
-            pvec = contrib if pvec is None else tuple(
-                a + b for a, b in zip(pvec, contrib)
-            )
-        elements.append(psi)
-        provenance.append(pvec)
-    return StandardBasis(
-        diagram=basis.diagram,
-        elements=tuple(elements),
-        provenance=tuple(provenance),
-        order=order,
-        canonical=True,
-        new_denominators=tuple(dict.fromkeys(new_dens)),
-    )
+        elements.append(mono - res.remainder)
+        rows.append(res.quotients)
+    return StandardBasis(basis.diagram, tuple(elements), order, (basis, tuple(rows)),
+                         canonical=True, new_denominators=tuple(dict.fromkeys(new_dens)))
 
 
 def minimal_generating_subset(
@@ -327,11 +326,12 @@ def minimal_generating_subset(
     """
     if isinstance(generators, StandardBasis):
         gens = list(generators.elements)
+        full = generators.diagram
     else:
         gens = list(generators)
-    if not gens:
-        raise PreconditionError("no generators given")
-    full = complete_to_standard_basis(order, gens).diagram
+        if not gens:
+            raise PreconditionError("no generators given")
+        full = complete_to_standard_basis(order, gens).diagram
     keep = list(range(len(gens)))
     for idx in reversed(range(len(gens))):
         if len(keep) == 1:

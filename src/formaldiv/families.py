@@ -142,23 +142,22 @@ class ExceptionalCertificates(NamedTuple):
         return all(self.flags_at(point))
 
 
-def _generic_basis(pm: ParamModule) -> tuple[StandardBasis, ExceptionalCertificates, LocalizedRing]:
-    ring, gens = pm.localized()
-    basis = complete_to_standard_basis(pm.order, gens)
-    inits = tuple(
-        e.initial(pm.order).coefficient.num for e in basis.elements
+def _certificates(basis: StandardBasis, det_u_constant=None) -> ExceptionalCertificates:
+    """The basis initial coefficients and the denominators of its ring."""
+    return ExceptionalCertificates(
+        initial_coefficients=tuple(
+            e.initial(basis.order).coefficient.num for e in basis.elements
+        ),
+        denominator_generators=tuple(basis.elements[0].ring.dset.generators),
+        det_u_constant=det_u_constant,
     )
-    certs = ExceptionalCertificates(
-        initial_coefficients=inits,
-        denominator_generators=tuple(ring.dset.generators),
-    )
-    return basis, certs, ring
+
 
 def generic_diagram(pm: ParamModule) -> tuple[Diagram, ExceptionalCertificates]:
     """Staircase diagram over the localized parameter ring, with the
     polynomials inverted while computing it."""
-    basis, certs, _ = _generic_basis(pm)
-    return basis.diagram, certs
+    basis = complete_to_standard_basis(pm.order, pm.localized()[1])
+    return basis.diagram, _certificates(basis)
 
 
 class PointRecord(NamedTuple):
@@ -353,13 +352,7 @@ def specialized_relations_check(
     """
     ring, gens = pm.localized()
     pres = relations_of_generators(pm.order, gens)
-    certs = ExceptionalCertificates(
-        initial_coefficients=tuple(
-            e.initial(pm.order).coefficient.num for e in pres.basis.elements
-        ),
-        denominator_generators=tuple(ring.dset.generators),
-        det_u_constant=pres.det_u_certificate,
-    )
+    certs = _certificates(pres.basis, pres.det_u_certificate)
     records = []
     all_passed = True
     for raw in points:

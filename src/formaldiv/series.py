@@ -9,7 +9,7 @@ Values are treated as immutable after construction.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .coefficients import Coefficient
 from .errors import (
@@ -156,7 +156,7 @@ class TruncatedSeries:
         if self.is_zero:
             raise PreconditionError("zero series has no initial term")
         e = min(self.terms, key=order.key)
-        return InitialData(e, self.terms[e], self)
+        return InitialData(e, self.terms[e])
 
     def component(self, j: int) -> "TruncatedSeries":
         """The j-th entry as a one-component series (1-based)."""
@@ -215,13 +215,3 @@ class InitialData(NamedTuple):
 
     exponent: ModExponent
     coefficient: Coefficient
-    source: Optional[TruncatedSeries] = None
-
-    @property
-    def monomial(self) -> TruncatedSeries:
-        if self.source is None:
-            raise PreconditionError("initial data detached from its series")
-        s = self.source
-        return TruncatedSeries.monomial(
-            self.exponent, self.coefficient, s.n, s.p, s.trunc, s.ring
-        )

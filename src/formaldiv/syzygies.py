@@ -238,17 +238,12 @@ class RelationPresentation(NamedTuple):
     subset: tuple[int, ...]
     generator_order: tuple[int, ...]
     basis: StandardBasis
-    basis_order: tuple[int, ...]
     theta: tuple[tuple[TruncatedSeries, ...], ...]
     xi: tuple[tuple[TruncatedSeries, ...], ...]
-    t_matrix: tuple[tuple[TruncatedSeries, ...], ...]
     u_matrix: tuple[tuple[TruncatedSeries, ...], ...]
     u_adjugate: tuple[tuple[TruncatedSeries, ...], ...]
     det_u: TruncatedSeries
     det_u_constant: Coefficient
-    syzygy_order: SyzygyOrder
-    syzygy_diagram: Diagram
-    standard_relations: tuple[TruncatedSeries, ...]
     denominator_generators: tuple[ParamPolynomial, ...]
 
     @property
@@ -265,10 +260,11 @@ class RelationPresentation(NamedTuple):
 def _express_in_subset(order, pool, subset_idx, target_idx):
     """Columns expressing pool[t] (t outside the subset) in the subset.
 
-    Works by completing the subset with provenance and composing division
-    quotients through it; valid modulo degree > trunc.
+    Works by completing the subset and composing division quotients through
+    its provenance; valid modulo degree > trunc.
     """
     sub = complete_to_standard_basis(order, [pool[i] for i in subset_idx])
+    prov = sub.provenance
     m = len(subset_idx)
     cols = []
     for t in target_idx:
@@ -281,12 +277,12 @@ def _express_in_subset(order, pool, subset_idx, target_idx):
         col = []
         for i in range(m):
             acc = None
-            for qj, pv in zip(res.quotients, sub.provenance):
+            for qj, pv in zip(res.quotients, prov):
                 term = qj.mul_series(pv[i])
                 acc = term if acc is None else acc + term
             col.append(acc)
         cols.append(col)
-    return cols, sub
+    return cols
 
 
 def relations_of_generators(
@@ -310,7 +306,7 @@ def relations_of_generators(
     r = len(basis.elements)
 
     m_phi, keep_phi = minimal_generating_subset(order, gens)
-    m_psi, keep_psi = minimal_generating_subset(order, basis.elements)
+    m_psi, keep_psi = minimal_generating_subset(order, basis)
     if m_phi != m_psi:
         raise InvariantError(
             f"minimal generator counts disagree: {m_phi} generators vs "
@@ -325,14 +321,14 @@ def relations_of_generators(
 
     # Xi: dropped basis elements in terms of the kept ones (m x (r-m))
     if rest_psi:
-        xi_cols, _ = _express_in_subset(order, basis.elements, keep_psi, rest_psi)
+        xi_cols = _express_in_subset(order, basis.elements, keep_psi, rest_psi)
         xi = [[xi_cols[l][i] for l in range(len(rest_psi))] for i in range(m)]
     else:
         xi = [[] for _ in range(m)]
 
     # Theta: dropped generators in terms of the kept ones (m x (q-m))
     if rest_phi:
-        th_cols, _ = _express_in_subset(order, gens, keep_phi, rest_phi)
+        th_cols = _express_in_subset(order, gens, keep_phi, rest_phi)
         theta = [[th_cols[l][i] for l in range(len(rest_phi))] for i in range(m)]
     else:
         theta = [[] for _ in range(m)]
@@ -367,7 +363,7 @@ def relations_of_generators(
     # first-row cofactor expansion, reusing the adjugate's cofactors
     det_u = _mat_mul(u_matrix[:1], u_adj)[0][0]
 
-    syz_order, syz_diag, p_rels = _relations_core(order, elements_perm, order.form)
+    p_rels = _relations_core(order, elements_perm, order.form)[2]
 
     relations = []
     for p_rel in p_rels:
@@ -404,16 +400,11 @@ def relations_of_generators(
         subset=tuple(keep_phi),
         generator_order=tuple(perm_phi),
         basis=basis,
-        basis_order=tuple(perm_psi),
         theta=tuple(tuple(row) for row in theta),
         xi=tuple(tuple(row) for row in xi),
-        t_matrix=tuple(tuple(row) for row in t_matrix),
         u_matrix=tuple(tuple(row) for row in u_matrix),
         u_adjugate=tuple(tuple(row) for row in u_adj),
         det_u=det_u,
         det_u_constant=det_u0,
-        syzygy_order=syz_order,
-        syzygy_diagram=syz_diag,
-        standard_relations=p_rels,
         denominator_generators=dens,
     )

@@ -1,21 +1,26 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from formaldiv import (
     ModExponent,
     Ordering,
+    TruncatedSeries,
     canonicalize,
     complete_to_standard_basis,
     hironaka_divide,
     is_member,
     minimal_generating_subset,
 )
+from formaldiv import io
 from formaldiv.division import residual
 from formaldiv.errors import PreconditionError, ZeroDivisorError
 
 import oracle
 from helpers import mono, random_division_instance, random_series, ser, unit_order
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # -- worked division instances ---------------------------------------------------
@@ -206,17 +211,52 @@ def test_completion_matches_staircase_oracle():
         assert got == oracle.staircase_minimal_generators(exps, n, D)
 
 
+def assert_provenance_recombines(basis, gens):
+    for elem, pvec in zip(basis.elements, basis.provenance):
+        acc = None
+        for coeff_series, g in zip(pvec, gens):
+            t = coeff_series.mul_series(g)
+            acc = t if acc is None else acc + t
+        assert acc == elem
+
+
 def test_completion_provenance_recombines():
     rng = random.Random(73)
     for _ in range(15):
         order, gens, _ = random_division_instance(rng, max_terms=4)
         basis = complete_to_standard_basis(order, gens)
-        for elem, pvec in zip(basis.elements, basis.provenance):
-            acc = None
-            for coeff_series, g in zip(pvec, gens):
-                t = coeff_series.mul_series(g)
-                acc = t if acc is None else acc + t
-            assert acc == elem
+        assert_provenance_recombines(basis, gens)
+        assert_provenance_recombines(canonicalize(basis), gens)
+
+
+def test_completion_provenance_recombines_over_localized_ring():
+    mod = io.parse_module_file(FIXTURES / "family_xi.json")
+    pm = mod.param_module()
+    _, gens = pm.localized()
+    basis = complete_to_standard_basis(pm.order, gens)
+    assert len(basis) > len(gens)
+    assert_provenance_recombines(basis, gens)
+    assert_provenance_recombines(canonicalize(basis), gens)
+
+
+def test_provenance_costs_no_product_until_read(monkeypatch):
+    calls = []
+    product = TruncatedSeries.mul_series
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "mul_series", counted)
+    order = unit_order(2)
+    # y * (x^2 + y^3) - x * (xy) = y^4 is appended
+    gens = [ser(2, 1, 6, {(2, 0): 1, (0, 3): 1}), ser(2, 1, 6, {(1, 1): 1})]
+    basis = complete_to_standard_basis(order, gens)
+    canon = canonicalize(basis)
+    assert len(basis) == 3 and not calls
+    assert_provenance_recombines(basis, gens)
+    assert_provenance_recombines(canon, gens)
+    assert calls
 
 
 # -- canonical bases ---------------------------------------------------------------
