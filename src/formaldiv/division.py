@@ -213,14 +213,6 @@ def is_member(
                 "membership needs a StandardBasis; pass force=True to override"
             )
         elements = tuple(generators)
-    if g.is_zero:
-        zero = TruncatedSeries.zero(g.n, 1, g.trunc, g.ring)
-        partition = DeltaPartition([e.initial(order).exponent for e in elements])
-        return True, DivisionResult(
-            tuple(zero for _ in elements),
-            TruncatedSeries.zero(g.n, g.p, g.trunc, g.ring),
-            partition,
-        )
     res = hironaka_divide(order, elements, g)
     return res.remainder.is_zero, res
 

@@ -38,10 +38,16 @@ from .exponents import (
     StandardOrder,
     compare_diagrams,
     iter_alphas,
+    sub_alpha,
 )
 from .linalg import kernel_basis, solvable
 from .series import TruncatedSeries
-from .syzygies import RelationPresentation, active_part, relations_of_generators
+from .syzygies import (
+    RelationPresentation,
+    _active_test,
+    active_part,
+    relations_of_generators,
+)
 
 
 class _ParamModuleFields(NamedTuple):
@@ -297,33 +303,28 @@ def oracle_relations(
             StandardOrder(PositiveLinearForm.unit(n)), gens
         )
     betas = list(iter_alphas(n, bound))
-    columns = [(i, beta) for i in range(q) for beta in betas]
-    row_exps = [
-        ModExponent(alpha, j + 1)
-        for j in range(p)
-        for alpha in iter_alphas(n, trunc)
-    ]
+    columns = [(g, beta) for g in gens for beta in betas]
+    slots = [ModExponent(beta, i + 1) for i in range(q) for beta in betas]
     rows = []
-    for e in row_exps:
-        row = []
-        for i, beta in columns:
-            diff = tuple(a - b for a, b in zip(e.alpha, beta))
-            if any(d < 0 for d in diff):
-                row.append(Fraction(0))
-            else:
-                row.append(gens[i].terms.get(ModExponent(diff, e.comp), Fraction(0)))
-        if any(row):
-            rows.append(row)
-    vectors = kernel_basis(rows, len(columns))
-    out = []
-    for vec in vectors:
-        terms = {
-            ModExponent(beta, i + 1): c
-            for (i, beta), c in zip(columns, vec)
-            if c
-        }
-        out.append(TruncatedSeries(n, q, trunc, QQ, terms))
-    return out
+    for comp in range(1, p + 1):
+        for alpha in iter_alphas(n, trunc):
+            row = _multiplier_row(alpha, comp, columns)
+            if any(row):
+                rows.append(row)
+    return [
+        TruncatedSeries(n, q, trunc, QQ, {e: c for e, c in zip(slots, vec) if c})
+        for vec in kernel_basis(rows, len(columns))
+    ]
+
+
+def _multiplier_row(alpha, comp, columns):
+    """Coefficient of x^alpha in slot comp of x^beta * s, for each column
+    (s, beta); 0 where beta does not divide alpha."""
+    row = []
+    for s, beta in columns:
+        diff = sub_alpha(alpha, beta)
+        row.append(QQ.zero if diff is None else s.terms.get(ModExponent(diff, comp), QQ.zero))
+    return row
 
 
 class RelationsPointRecord(NamedTuple):
@@ -411,27 +412,16 @@ def _spanned_linear(span_rels, gens_a, h) -> bool:
     """Exact test: h = sum of series multiples of the span relations, as an
     identity on the non-inert coordinates of degree <= trunc."""
     n, trunc, q = h.n, h.trunc, h.p
-    mindeg = [
-        min((e.degree for e in g.terms), default=None) for g in gens_a
-    ]
+    active = _active_test(gens_a, trunc)
     betas = list(iter_alphas(n, trunc))
     columns = [(g, beta) for g in span_rels for beta in betas]
     rows = []
     rhs = []
     for comp in range(1, q + 1):
-        md = mindeg[comp - 1]
         for alpha in iter_alphas(n, trunc):
-            if md is None or sum(alpha) + md > trunc:
-                continue  # inert coordinate
-            row = []
-            for g, beta in columns:
-                diff = tuple(a - b for a, b in zip(alpha, beta))
-                if any(d < 0 for d in diff):
-                    row.append(Fraction(0))
-                else:
-                    row.append(g.terms.get(ModExponent(diff, comp), Fraction(0)))
-            rows.append(row)
-            rhs.append(h.terms.get(ModExponent(alpha, comp), Fraction(0)))
+            if active(sum(alpha), comp):
+                rows.append(_multiplier_row(alpha, comp, columns))
+                rhs.append(h.terms.get(ModExponent(alpha, comp), QQ.zero))
     return solvable(rows, rhs)
 
 

@@ -13,12 +13,15 @@ redundant generators are expressed in the minimal ones, and the distinguished
 relations of the basis are pulled back through an adjugate-scaled change of
 coordinates, so the construction stays inside the localized coefficient ring;
 its validity at a specialization point is certified by the recorded
-denominators together with the constant term of one determinant.
+denominators together with the constant term of one determinant.  That
+determinant, det U of the change-of-generators matrix, and the adjugate of U
+come from one first-row cofactor expansion that computes each minor once:
+O(m^2 2^m) series products for m kept generators, in the operation order of
+a plain expansion, so unreduced localized fractions print the same.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import NamedTuple, Optional, Sequence
 
 from .coefficients import Coefficient, LocalizedFraction, LocalizedRing, ParamPolynomial
@@ -138,15 +141,23 @@ def active_part(
     and carry no information about the module.  The relation module at a
     finite horizon is only determined modulo such terms.
     """
+    active = _active_test(elements, h.trunc)
+    keep = {e: c for e, c in h.terms.items() if active(e.degree, e.comp)}
+    return TruncatedSeries(h.n, h.p, h.trunc, h.ring, keep)
+
+
+def _active_test(elements, trunc):
+    """Predicate on (degree, slot k): whether a multiplier term of that degree
+    in slot k reaches degree <= trunc in x^beta * elements[k-1]."""
     mindeg = [
         min((e.degree for e in el.terms), default=None) for el in elements
     ]
-    keep = {}
-    for e, c in h.terms.items():
-        md = mindeg[e.comp - 1]
-        if md is not None and e.degree + md <= h.trunc:
-            keep[e] = c
-    return TruncatedSeries(h.n, h.p, h.trunc, h.ring, keep)
+
+    def active(degree, comp):
+        md = mindeg[comp - 1]
+        return md is not None and degree + md <= trunc
+
+    return active
 
 
 def reduce_relation(h: TruncatedSeries, syz: SyzygyBasis) -> DivisionResult:
@@ -187,39 +198,38 @@ def _mat_mul(a, b):
     return out
 
 
-def _minor(m, i, j):
-    return [
-        [m[r][c] for c in range(len(m)) if c != j]
-        for r in range(len(m)) if r != i
-    ]
+def _det_adj(m, one):
+    """(det, adjugate) of a nonempty square matrix of one-component series.
 
+    Every minor is expanded along its first row, so each entry is the same
+    sum of the same products, in the same order, as a plain recursive
+    cofactor expansion; localized fractions are never reduced, so that order
+    fixes their printed form.  Each minor is memoized on its (rows, cols)
+    index tuples, which costs O(m^2 2^m) series products instead of O(m!).
+    """
+    memo = {}
 
-def _det(m, mul):
-    """First-row cofactor expansion of a nonempty square matrix, with mul as
-    the ring product (operator.mul on coefficients, mul_series on series)."""
-    if len(m) == 1:
-        return m[0][0]
-    acc = None
-    for j in range(len(m)):
-        term = mul(m[0][j], _det(_minor(m, 0, j), mul))
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    def det(rows, cols):
+        if len(rows) <= 1:
+            return m[rows[0]][cols[0]] if rows else one
+        key = (rows, cols)
+        if key not in memo:
+            acc = None
+            for k, c in enumerate(cols):
+                term = m[rows[0]][c].mul_series(det(rows[1:], cols[:k] + cols[k + 1:]))
+                if k % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            memo[key] = acc
+        return memo[key]
 
-
-def _adjugate_series(m, one):
-    size = len(m)
-    if size == 1:
-        return [[one]]
-    adj = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            cof = _det(_minor(m, i, j), TruncatedSeries.mul_series)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return adj
+    full = tuple(range(len(m)))
+    adj = [[None] * len(m) for _ in full]
+    for i in full:
+        for j in full:
+            cof = det(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    return det(full, full), adj
 
 
 class RelationPresentation(NamedTuple):
@@ -351,17 +361,12 @@ def relations_of_generators(
             [u_matrix[i][j] + prod[i][j] for j in range(m)] for i in range(m)
         ]
 
-    zero_exp = ModExponent((0,) * n, 1)
-    u0 = [[u_matrix[i][j].coefficient(zero_exp) for j in range(m)] for i in range(m)]
-    det_u0 = _det(u0, operator.mul)
+    det_u, u_adj = _det_adj(u_matrix, one_series)
+    det_u0 = det_u.coefficient(ModExponent((0,) * n, 1))
     if not det_u0:
         raise DegenerateFamilyError(
             "constant term of the change-of-generators matrix is singular"
         )
-
-    u_adj = _adjugate_series(u_matrix, one_series)
-    # first-row cofactor expansion, reusing the adjugate's cofactors
-    det_u = _mat_mul(u_matrix[:1], u_adj)[0][0]
 
     p_rels = _relations_core(order, elements_perm, order.form)[2]
 

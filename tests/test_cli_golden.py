@@ -27,13 +27,17 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
 
 MODULES = (
-    "bad_degree.json", "bad_json.json", "family_defect.json",
+    "bad_degree.json", "bad_json.json", "family_adjugate.json", "family_defect.json",
     "family_pivot.json", "family_relations.json", "family_seeded.json",
     "family_xi.json", "module_squares.json", "module_unit.json", "module_weighted.json",
     "module_zero_series.json",
 )
 DIVIDENDS = ("dividend_corner.json", "dividend_mixed.json", "dividend_param.json")
-GRIDS = {"family_defect.json": "t:-3..3", "family_xi.json": "t:-2..2"}
+GRIDS = {
+    "family_adjugate.json": "t:-2..2",
+    "family_defect.json": "t:-3..3",
+    "family_xi.json": "t:-2..2",
+}
 
 
 def commands():

@@ -15,7 +15,7 @@ from formaldiv import (
 )
 from formaldiv import io
 from formaldiv.division import residual
-from formaldiv.errors import PreconditionError, ZeroDivisorError
+from formaldiv.errors import AmbientMismatchError, PreconditionError, ZeroDivisorError
 
 import oracle
 from helpers import mono, random_division_instance, random_series, ser, unit_order
@@ -147,6 +147,15 @@ def test_membership_examples():
     assert not member and witness.remainder == ser(2, 1, 6, {(1, 1): 1})
     member, _ = is_member(order, basis, ser(2, 1, 6, {}))
     assert member
+
+
+def test_membership_rejects_zero_series_of_another_ambient():
+    order = unit_order(2)
+    basis = complete_to_standard_basis(order, [ser(2, 1, 6, {(2, 0): 1})])
+    with pytest.raises(AmbientMismatchError):
+        is_member(order, basis, ser(2, 1, 5, {}))
+    with pytest.raises(AmbientMismatchError):
+        is_member(order, basis, ser(2, 2, 6, {}))
 
 
 def test_membership_requires_basis_unless_forced():

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,9 +20,10 @@ from formaldiv import (
     syzygy_order_for,
 )
 from formaldiv import io
+from formaldiv.coefficients import LocalizedFraction
 from formaldiv.errors import NotARelationError
 from formaldiv.exponents import iter_alphas
-from formaldiv.syzygies import active_part, relation_defect
+from formaldiv.syzygies import _det_adj, active_part, relation_defect
 
 import oracle
 from helpers import random_division_instance, random_series, ser, unit_order
@@ -274,6 +277,21 @@ def test_presentation_two_component_module():
         assert oracle.spanned_modulo_inert([g1, g2, g3], list(pres.relations), h)
 
 
+def _assert_adjugate_identity(u, det, adj):
+    """U * adj(U) == adj(U) * U == det(U) * I."""
+    size = len(u)
+    zero = TruncatedSeries.zero(det.n, 1, det.trunc, det.ring)
+    for i in range(size):
+        for j in range(size):
+            expected = det if i == j else zero
+            left, right = zero, zero
+            for k in range(size):
+                left = left + u[i][k].mul_series(adj[k][j])
+                right = right + adj[i][k].mul_series(u[k][j])
+            assert left == expected
+            assert right == expected
+
+
 def test_presentation_adjugate_identity():
     rng = random.Random(109)
     order = unit_order(2)
@@ -288,21 +306,7 @@ def test_presentation_adjugate_identity():
         gens.append(extra)
         pres = relations_of_generators(order, gens)
         cases += 1
-        m = pres.m
-        ident = [
-            [
-                pres.det_u if i == j else TruncatedSeries.zero(2, 1, 5, QQ)
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        for i in range(m):
-            for j in range(m):
-                acc = None
-                for k in range(m):
-                    t = pres.u_adjugate[i][k].mul_series(pres.u_matrix[k][j])
-                    acc = t if acc is None else acc + t
-                assert acc == ident[i][j]
+        _assert_adjugate_identity(pres.u_matrix, pres.det_u, pres.u_adjugate)
         for r in pres.relations:
             assert relation_defect(r, gens).is_zero
 
@@ -357,6 +361,83 @@ def test_presentation_determinant_matches_leibniz_localized():
     assert pres.m >= 2
     _assert_determinant(pres)
     assert pres.det_u_certificate == pres.det_u_constant.num
+
+
+def _rational_coeff(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+
+def _localized_coeff_maker():
+    """Coefficients over the localized ring of family_relations.json, with
+    the denominators its presentation registers."""
+    path = Path(__file__).parent / "fixtures" / "family_relations.json"
+    pm = io.parse_module_file(str(path)).param_module()
+    ring, gens = pm.localized()
+    relations_of_generators(pm.order, gens)
+    dset = ring.dset
+    assert dset.generators
+    (name,) = ring.names
+    x = ring.base.variable(name)
+
+    def coeff(rng):
+        num = x * ring.base.from_int(rng.choice((0, 0, 1, -1))) + ring.base.from_int(
+            rng.choice((-2, -1, 1, 2))
+        )
+        powers = {i: int(rng.random() < 0.3) for i in range(len(dset.generators))}
+        return LocalizedFraction(num, powers, dset)
+
+    return ring, coeff
+
+
+def _random_series_matrix(rng, size, ring, coeff):
+    """size x size one-component series in 2 variables at D = 3, each entry
+    zero or up to two terms of degree <= 1, so products of five entries
+    still survive the truncation."""
+    alphas = list(iter_alphas(2, 1))
+
+    def entry():
+        support = rng.sample(alphas, rng.choice((0, 1, 1, 2)))
+        return TruncatedSeries(2, 1, 3, ring, {ModExponent(a, 1): coeff(rng) for a in support})
+
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ring_name", ["QQ", "localized"])
+def test_det_adj_matches_leibniz_and_adjugate_identity(ring_name, size):
+    if ring_name == "QQ":
+        ring, coeff = QQ, _rational_coeff
+    else:
+        ring, coeff = _localized_coeff_maker()
+    one = TruncatedSeries.monomial(ModExponent((0, 0), 1), ring.one, 2, 1, 3, ring)
+    rng = random.Random(1000 + size)
+    for _ in range(2):
+        u = _random_series_matrix(rng, size, ring, coeff)
+        det, adj = _det_adj(u, one)
+        assert det == _leibniz_det(u)
+        _assert_adjugate_identity(u, det, adj)
+
+
+def test_presentation_m8_monomial_tail():
+    # eight distinct quadratic leaders in 4 variables with integer tails of
+    # degree 3..4; this presentation takes 555,136 series products when the
+    # cofactor expansion recomputes its minors, 6,448 when it memoizes them
+    rng = random.Random(8)
+    quadratic = [a for a in iter_alphas(4, 2) if sum(a) == 2]
+    tail = [a for a in iter_alphas(4, 4) if sum(a) >= 3]
+    gens = [
+        ser(4, 1, 4, {lead: 1, **{a: rng.choice((-3, -2, -1, 1, 2, 3))
+                                  for a in rng.sample(tail, 3)}})
+        for lead in rng.sample(quadratic, 8)
+    ]
+    t0 = time.monotonic()
+    pres = relations_of_generators(unit_order(4), gens)
+    elapsed = time.monotonic() - t0
+    assert pres.m == 8
+    assert elapsed < 2.0, f"m = 8 presentation took {elapsed:.2f} s"
+    for r in pres.relations:
+        assert relation_defect(r, gens).is_zero
+    _assert_adjugate_identity(pres.u_matrix, pres.det_u, pres.u_adjugate)
 
 
 def test_presentation_spans_oracle_relations():
