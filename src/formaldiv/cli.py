@@ -92,10 +92,16 @@ def _prepare(mod):
     return mod.generators()
 
 
-def _load_dividend(args, mod):
+def _load_module(path, hashes, key):
+    """Parse a module file, recording the digest of the bytes parsed."""
+    hashes[key], data = io.load_json(path)
+    return io.load_module_data(data, source=str(path))
+
+
+def _load_dividend(args, mod, hashes):
     """The module's generators over the working ring, and the dividend file's
     one series lifted into that ring."""
-    div = io.parse_module_file(args.dividend)
+    div = _load_module(args.dividend, hashes, "dividend")
     if (div.n, div.p, div.trunc) != (mod.n, mod.p, mod.trunc):
         raise SchemaError(
             f"dividend ambient ({div.n},{div.p},D={div.trunc}) differs from "
@@ -157,9 +163,9 @@ def _point_source(args, pm, hashes):
     from .families import grid_points, sample_points
     arity = len(pm.param_names)
     if args.points:
-        hashes["points"] = io.hash_file(args.points)
+        hashes["points"], data = io.load_json(args.points)
         source = {"kind": "file", "path": args.points}
-        return io.parse_points_file(args.points, arity), None, source
+        return io.load_points_data(data, arity, source=str(args.points)), None, source
     if args.grid:
         hashes["points"] = io.hash_bytes(f"grid:{args.grid}".encode())
         ranges = _parse_grid(args.grid, pm.param_names)
@@ -177,14 +183,13 @@ def _point_source(args, pm, hashes):
 
 
 def _dispatch(args):
-    hashes = {"module": io.hash_file(args.module)}
-    mod = io.parse_module_file(args.module)
+    hashes = {}
+    mod = _load_module(args.module, hashes, "module")
     order = mod.order
     command = args.command
 
     if command == "divide":
-        hashes["dividend"] = io.hash_file(args.dividend)
-        gens, dividend = _load_dividend(args, mod)
+        gens, dividend = _load_dividend(args, mod, hashes)
         res = hironaka_divide(order, gens, dividend)
         payload = {
             "truncation_degree": mod.trunc,
@@ -234,8 +239,7 @@ def _dispatch(args):
         return payload, hashes
 
     if command == "membership":
-        hashes["dividend"] = io.hash_file(args.dividend)
-        gens, g = _load_dividend(args, mod)
+        gens, g = _load_dividend(args, mod, hashes)
         basis = complete_to_standard_basis(order, gens)
         member, res = is_member(order, basis, g)
         payload = {
@@ -275,8 +279,7 @@ def _dispatch(args):
         return payload, hashes
 
     if command == "compare-diagrams":
-        hashes["other"] = io.hash_file(args.other)
-        other = io.parse_module_file(args.other)
+        other = _load_module(args.other, hashes, "other")
 
         def diagram_of(m):
             if m.is_parametric:
@@ -310,7 +313,7 @@ def _dispatch(args):
         points, refine, source = _point_source(args, pm, hashes)
         report = semicontinuity_scan(pm, points, refine)
         payload = {"points_source": source}
-        payload.update(io.semicontinuity_report_to_json(report, order))
+        payload.update(io.semicontinuity_report_to_json(report))
         return payload, hashes
 
     if command == "relations-check":
@@ -319,7 +322,7 @@ def _dispatch(args):
         points, _, source = _point_source(args, pm, hashes)
         report = specialized_relations_check(pm, points)
         payload = {"points_source": source}
-        payload.update(io.relations_check_report_to_json(report, order))
+        payload.update(io.relations_check_report_to_json(report))
         return payload, hashes
 
     raise SchemaError(f"unknown command {command!r}")

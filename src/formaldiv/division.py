@@ -21,7 +21,7 @@ with every result.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .coefficients import LocalizedRing, ParamPolynomial
 from .errors import PreconditionError, ZeroDivisorError
@@ -32,7 +32,7 @@ from .exponents import (
     diagram_from_exponents,
     sub_alpha,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _dot
 
 
 class DivisionResult(NamedTuple):
@@ -99,16 +99,10 @@ def _replay_completion(first, q, steps, index):
 def _replay_canonical(source, rows):
     """Provenance of canonical elements sum_j Q_j * source_j."""
     prov = source.provenance
-    out = []
-    for quotients in rows:
-        pvec = None
-        for qj, pv in zip(quotients, prov):
-            contrib = tuple(qj.mul_series(t) for t in pv)
-            pvec = contrib if pvec is None else tuple(
-                a + b for a, b in zip(pvec, contrib)
-            )
-        out.append(pvec)
-    return tuple(out)
+    return tuple(
+        tuple(_dot(zip(quotients, column)) for column in zip(*prov))
+        for quotients in rows
+    )
 
 
 def _ensure_unit(ring, coeff, sink: list):
@@ -193,27 +187,16 @@ def hironaka_divide(
 
 
 def is_member(
-    order,
-    generators: Union[StandardBasis, Sequence[TruncatedSeries]],
-    g: TruncatedSeries,
-    *,
-    force: bool = False,
+    order, basis: StandardBasis, g: TruncatedSeries
 ) -> tuple[bool, DivisionResult]:
     """Membership of g modulo degree > trunc, with the division witness.
 
-    The divisor list must be a standard basis for a conclusive answer; pass
-    force=True to divide by an arbitrary list anyway (remainder zero then
-    still certifies membership, but nonzero proves nothing).
+    Only division by a standard basis answers conclusively, so any other
+    divisor list is refused.
     """
-    if isinstance(generators, StandardBasis):
-        elements = generators.elements
-    else:
-        if not force:
-            raise PreconditionError(
-                "membership needs a StandardBasis; pass force=True to override"
-            )
-        elements = tuple(generators)
-    res = hironaka_divide(order, elements, g)
+    if not isinstance(basis, StandardBasis):
+        raise PreconditionError("membership needs a StandardBasis")
+    res = hironaka_divide(order, basis.elements, g)
     return res.remainder.is_zero, res
 
 
@@ -306,8 +289,7 @@ def canonicalize(basis: StandardBasis) -> StandardBasis:
 
 
 def minimal_generating_subset(
-    order,
-    generators: Union[StandardBasis, Sequence[TruncatedSeries]],
+    order, generators: Sequence[TruncatedSeries]
 ) -> tuple[int, tuple[int, ...]]:
     """Greedy minimal subset generating the same staircase diagram.
 
@@ -316,23 +298,29 @@ def minimal_generating_subset(
     the module modulo the maximal ideal, any elimination order agreeing by
     the usual spanning-set argument.
     """
-    if isinstance(generators, StandardBasis):
-        gens = list(generators.elements)
-        full = generators.diagram
-    else:
-        gens = list(generators)
-        if not gens:
-            raise PreconditionError("no generators given")
-        full = complete_to_standard_basis(order, gens).diagram
-    keep = list(range(len(gens)))
-    for idx in reversed(range(len(gens))):
+    gens = list(generators)
+    if not gens:
+        raise PreconditionError("no generators given")
+    keep, _ = _greedy_subset(order, gens, complete_to_standard_basis(order, gens).diagram)
+    return len(keep), keep
+
+
+def _greedy_subset(
+    order, pool: Sequence[TruncatedSeries], full: Diagram
+) -> tuple[tuple[int, ...], Optional[StandardBasis]]:
+    """Survivor indices of the greedy pass over pool, and the standard basis
+    of the survivors that was completed when the last drop was accepted
+    (None when nothing was dropped).  full is the diagram to preserve."""
+    keep = list(range(len(pool)))
+    survivors = None
+    for idx in reversed(range(len(pool))):
         if len(keep) == 1:
             break
         candidate = [i for i in keep if i != idx]
-        d = complete_to_standard_basis(order, [gens[i] for i in candidate]).diagram
-        if d == full:
-            keep = candidate
-    return len(keep), tuple(keep)
+        sub = complete_to_standard_basis(order, [pool[i] for i in candidate])
+        if sub.diagram == full:
+            keep, survivors = candidate, sub
+    return tuple(keep), survivors
 
 
 def residual(

@@ -429,16 +429,18 @@ def _spanned_linear(span_rels, gens_a, h) -> bool:
 # sample point generation
 # ---------------------------------------------------------------------------
 
-def sample_points(
-    num_params: int, count: int, seed: int, *, num_bound: int = 9, den_bound: int = 4
-) -> list[tuple[Fraction, ...]]:
-    """Seeded rational sample points with small numerators and denominators."""
+_NUM_BOUND, _DEN_BOUND = 9, 4
+
+
+def sample_points(num_params: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
+    """Seeded rational sample points: each coordinate is a / b with a drawn
+    uniformly from -9..9 and b from 1..4."""
     rng = random.Random(seed)
     pts = []
     for _ in range(count):
         pts.append(
             tuple(
-                Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+                Fraction(rng.randint(-_NUM_BOUND, _NUM_BOUND), rng.randint(1, _DEN_BOUND))
                 for _ in range(num_params)
             )
         )

@@ -188,30 +188,30 @@ def load_module_data(data, source="module") -> LoadedModule:
     )
 
 
+def load_json(path) -> tuple[str, object]:
+    """The sha256 hex digest of a file's bytes and the JSON value they hold,
+    from one read, so the digest describes exactly what was parsed."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
+    try:
+        return hash_bytes(raw), json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+
+
 def parse_module_file(path) -> LoadedModule:
-    try:
-        with open(path, "rb") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
-    return load_module_data(data, source=str(path))
+    return load_module_data(load_json(path)[1], source=str(path))
 
 
-def parse_points_file(path, arity: int) -> list[tuple[Fraction, ...]]:
-    try:
-        with open(path, "rb") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+def load_points_data(data, arity: int, source) -> list[tuple[Fraction, ...]]:
     _expect(isinstance(data, dict) and isinstance(data.get("points"), list),
-            str(path), "expected an object with a 'points' list")
+            source, "expected an object with a 'points' list")
     points = []
     for i, raw in enumerate(data["points"]):
-        ppath = f"{path}.points[{i}]"
+        ppath = f"{source}.points[{i}]"
         _expect(isinstance(raw, list) and len(raw) == arity,
                 ppath, f"expected {arity} coordinates")
         points.append(tuple(_as_fraction(v, ppath) for v in raw))
@@ -280,7 +280,7 @@ def certificates_to_json(certs: ExceptionalCertificates) -> dict:
     }
 
 
-def semicontinuity_report_to_json(report: SemicontinuityReport, order) -> dict:
+def semicontinuity_report_to_json(report: SemicontinuityReport) -> dict:
     payload = {
         "generic_vertices": diagram_to_json(report.generic),
         "certificates": certificates_to_json(report.certificates),
@@ -318,7 +318,7 @@ def semicontinuity_report_to_json(report: SemicontinuityReport, order) -> dict:
     return payload
 
 
-def relations_check_report_to_json(report: RelationsCheckReport, order) -> dict:
+def relations_check_report_to_json(report: RelationsCheckReport) -> dict:
     return {
         "m": report.presentation.m,
         "subset": [i + 1 for i in report.presentation.subset],
@@ -372,14 +372,6 @@ def presentation_to_json(pres: RelationPresentation, order) -> dict:
 
 def hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def hash_file(path) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hash_bytes(fh.read())
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
 
 
 def build_result(operation: str, input_hashes: dict, payload: dict,

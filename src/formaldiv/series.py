@@ -210,6 +210,16 @@ class TruncatedSeries:
         return " + ".join(bits)
 
 
+def _dot(pairs) -> TruncatedSeries:
+    """Sum of a.mul_series(b) over a nonempty iterable of pairs, added left
+    to right (the grouping fixes how unreduced localized fractions print)."""
+    acc = None
+    for a, b in pairs:
+        term = a.mul_series(b)
+        acc = term if acc is None else acc + term
+    return acc
+
+
 class InitialData(NamedTuple):
     """Initial exponent and coefficient of a nonzero series."""
 

@@ -18,6 +18,11 @@ determinant, det U of the change-of-generators matrix, and the adjugate of U
 come from one first-row cofactor expansion that computes each minor once:
 O(m^2 2^m) series products for m kept generators, in the operation order of
 a plain expansion, so unreduced localized fractions print the same.
+
+Each generator list is completed once.  The full list's completion supplies
+the target diagram of both greedy passes (over the generators and over the
+basis), and the completion that accepted a pass's last drop is the basis of
+its survivors, through which the dropped series are expressed.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from .coefficients import Coefficient, LocalizedFraction, LocalizedRing, ParamPo
 from .division import (
     DivisionResult,
     StandardBasis,
+    _greedy_subset,
     complete_to_standard_basis,
     hironaka_divide,
-    minimal_generating_subset,
 )
 from .errors import (
     DegenerateFamilyError,
@@ -47,7 +52,7 @@ from .exponents import (
     diagram_from_exponents,
     syzygy_order_for,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _dot
 
 
 def syzygy_diagram(partition: DeltaPartition, *, order: SyzygyOrder) -> Diagram:
@@ -124,11 +129,7 @@ def relation_defect(
         raise PreconditionError(
             f"vector has {h.p} entries for {len(elements)} elements"
         )
-    acc = None
-    for j, e in enumerate(elements):
-        contrib = h.component(j + 1).mul_series(e)
-        acc = contrib if acc is None else acc + contrib
-    return acc
+    return _dot((h.component(j + 1), e) for j, e in enumerate(elements))
 
 
 def active_part(
@@ -182,21 +183,6 @@ def reduce_relation(h: TruncatedSeries, syz: SyzygyBasis) -> DivisionResult:
 # ---------------------------------------------------------------------------
 # small dense matrices of one-component series
 # ---------------------------------------------------------------------------
-
-def _mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                term = a[i][k].mul_series(b[k][j])
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
 
 def _det_adj(m, one):
     """(det, adjugate) of a nonempty square matrix of one-component series.
@@ -267,32 +253,25 @@ class RelationPresentation(NamedTuple):
         return None
 
 
-def _express_in_subset(order, pool, subset_idx, target_idx):
-    """Columns expressing pool[t] (t outside the subset) in the subset.
-
-    Works by completing the subset and composing division quotients through
-    its provenance; valid modulo degree > trunc.
+def _express_in_subset(order, survivors, m, dropped):
+    """m x len(dropped) matrix whose column l expresses dropped[l] in the m
+    kept series, read through the provenance of their standard basis
+    survivors (None when nothing was dropped); valid modulo degree > trunc.
     """
-    sub = complete_to_standard_basis(order, [pool[i] for i in subset_idx])
-    prov = sub.provenance
-    m = len(subset_idx)
-    cols = []
-    for t in target_idx:
-        res = hironaka_divide(order, sub.elements, pool[t])
+    quotients = []
+    for g in dropped:
+        res = hironaka_divide(order, survivors.elements, g)
         if not res.remainder.is_zero:
             raise InvariantError(
                 "minimal subset fails to reproduce a dropped element; "
                 "truncation degree too small for this configuration"
             )
-        col = []
-        for i in range(m):
-            acc = None
-            for qj, pv in zip(res.quotients, prov):
-                term = qj.mul_series(pv[i])
-                acc = term if acc is None else acc + term
-            col.append(acc)
-        cols.append(col)
-    return cols
+        quotients.append(res.quotients)
+    prov = survivors.provenance if dropped else ()
+    return [
+        [_dot((qj, pv[i]) for qj, pv in zip(qs, prov)) for qs in quotients]
+        for i in range(m)
+    ]
 
 
 def relations_of_generators(
@@ -315,14 +294,14 @@ def relations_of_generators(
     basis = complete_to_standard_basis(order, gens)
     r = len(basis.elements)
 
-    m_phi, keep_phi = minimal_generating_subset(order, gens)
-    m_psi, keep_psi = minimal_generating_subset(order, basis)
-    if m_phi != m_psi:
+    keep_phi, kept_gens = _greedy_subset(order, gens, basis.diagram)
+    keep_psi, kept_elements = _greedy_subset(order, basis.elements, basis.diagram)
+    if len(keep_phi) != len(keep_psi):
         raise InvariantError(
-            f"minimal generator counts disagree: {m_phi} generators vs "
-            f"{m_psi} basis elements"
+            f"minimal generator counts disagree: {len(keep_phi)} generators vs "
+            f"{len(keep_psi)} basis elements"
         )
-    m = m_phi
+    m = len(keep_phi)
     rest_phi = [i for i in range(q) if i not in keep_phi]
     rest_psi = [i for i in range(r) if i not in keep_psi]
     perm_phi = list(keep_phi) + rest_phi
@@ -330,18 +309,9 @@ def relations_of_generators(
     elements_perm = [basis.elements[t] for t in perm_psi]
 
     # Xi: dropped basis elements in terms of the kept ones (m x (r-m))
-    if rest_psi:
-        xi_cols = _express_in_subset(order, basis.elements, keep_psi, rest_psi)
-        xi = [[xi_cols[l][i] for l in range(len(rest_psi))] for i in range(m)]
-    else:
-        xi = [[] for _ in range(m)]
-
+    xi = _express_in_subset(order, kept_elements, m, [basis.elements[t] for t in rest_psi])
     # Theta: dropped generators in terms of the kept ones (m x (q-m))
-    if rest_phi:
-        th_cols = _express_in_subset(order, gens, keep_phi, rest_phi)
-        theta = [[th_cols[l][i] for l in range(len(rest_phi))] for i in range(m)]
-    else:
-        theta = [[] for _ in range(m)]
+    theta = _express_in_subset(order, kept_gens, m, [gens[t] for t in rest_phi])
 
     # T: kept generators through the full (permuted) basis (r x m)
     t_matrix = [[None] * m for _ in range(r)]
@@ -353,12 +323,12 @@ def relations_of_generators(
             t_matrix[jrow][jcol] = res.quotients[jrow]
 
     # U = T_top + Xi * T_bottom, an m x m change of generators
-    u_matrix = [[t_matrix[i][j] for j in range(m)] for i in range(m)]
+    u_matrix = t_matrix[:m]
     if rest_psi:
-        t_bot = [t_matrix[m + l] for l in range(r - m)]
-        prod = _mat_mul(xi, t_bot)
+        t_bot = t_matrix[m:]
         u_matrix = [
-            [u_matrix[i][j] + prod[i][j] for j in range(m)] for i in range(m)
+            [u + _dot((x, t[j]) for x, t in zip(xi_row, t_bot)) for j, u in enumerate(row)]
+            for row, xi_row in zip(u_matrix, xi)
         ]
 
     det_u, u_adj = _det_adj(u_matrix, one_series)
@@ -382,11 +352,7 @@ def relations_of_generators(
             v.append(acc)
         rel = TruncatedSeries.zero(n, q, trunc, ring)
         for i in range(m):
-            acc = None
-            for j in range(m):
-                t = u_adj[i][j].mul_series(v[j])
-                acc = t if acc is None else acc + t
-            rel = rel + acc.embed(perm_phi[i] + 1, q)
+            rel = rel + _dot(zip(u_adj[i], v)).embed(perm_phi[i] + 1, q)
         if not rel.is_zero:
             relations.append(rel)
     for l, orig in enumerate(rest_phi):

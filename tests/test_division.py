@@ -14,7 +14,7 @@ from formaldiv import (
     minimal_generating_subset,
 )
 from formaldiv import io
-from formaldiv.division import residual
+from formaldiv.division import _greedy_subset, residual
 from formaldiv.errors import AmbientMismatchError, PreconditionError, ZeroDivisorError
 
 import oracle
@@ -158,13 +158,11 @@ def test_membership_rejects_zero_series_of_another_ambient():
         is_member(order, basis, ser(2, 2, 6, {}))
 
 
-def test_membership_requires_basis_unless_forced():
+def test_membership_requires_basis():
     order = unit_order(2)
     gens = [ser(2, 1, 6, {(2, 0): 1, (0, 3): 1})]
     with pytest.raises(PreconditionError):
         is_member(order, gens, ser(2, 1, 6, {(2, 0): 1}))
-    member, _ = is_member(order, gens, gens[0], force=True)
-    assert member
 
 
 def test_membership_agrees_with_linear_oracle():
@@ -345,6 +343,37 @@ def test_minimal_subset_unit():
     order = unit_order(1)
     m, subset = minimal_generating_subset(order, [ser(1, 1, 4, {(0,): 1})])
     assert m == 1 and subset == (0,)
+
+
+def _assert_survivors_basis(order, pool, full):
+    """Check the greedy pass's survivors' basis; whether it exists."""
+    keep, survivors = _greedy_subset(order, pool, full)
+    if survivors is None:
+        assert keep == tuple(range(len(pool)))
+        return False
+    assert len(keep) < len(pool)
+    assert survivors.diagram == full
+    assert_provenance_recombines(survivors, [pool[i] for i in keep])
+    return True
+
+
+def test_greedy_survivors_basis_has_full_diagram_and_recombines():
+    rng = random.Random(97)
+    seen = 0
+    for _ in range(15):
+        order, gens, _ = random_division_instance(rng, max_terms=4)
+        basis = complete_to_standard_basis(order, gens)
+        seen += _assert_survivors_basis(order, gens, basis.diagram)
+        seen += _assert_survivors_basis(order, list(basis.elements), basis.diagram)
+    assert seen
+
+
+def test_greedy_survivors_basis_over_localized_ring():
+    pm = io.parse_module_file(FIXTURES / "family_xi.json").param_module()
+    _, gens = pm.localized()
+    basis = complete_to_standard_basis(pm.order, gens)
+    # the basis has an element more than the generators, and it is redundant
+    assert _assert_survivors_basis(pm.order, list(basis.elements), basis.diagram)
 
 
 def test_minimal_subset_matches_nakayama_dimension():

@@ -275,3 +275,8 @@ def test_sample_points_reproducible():
     a = sample_points(2, 10, seed=9)
     b = sample_points(2, 10, seed=9)
     assert a == b and len(a) == 10
+
+
+def test_sample_points_stay_in_documented_ranges():
+    for x in (c for pt in sample_points(3, 200, seed=11) for c in pt):
+        assert abs(x) <= 9 and x.denominator <= 4

@@ -145,6 +145,31 @@ def test_cli_missing_input_is_schema_error():
     assert run("diagram", "--module", "/nonexistent/nowhere.json") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("membership", "--module", "module_squares.json", "--dividend", "dividend_corner.json"),
+    ("compare-diagrams", "--module", "module_squares.json", "--other", "module_unit.json"),
+    ("semicont-scan", "--module", "family_pivot.json", "--points", "points_basic.json"),
+])
+def test_cli_reads_each_input_once_and_hashes_what_it_parsed(tmp_path, monkeypatch, argv):
+    import builtins
+    import hashlib
+    argv = [fx(a) if a.endswith(".json") else a for a in argv]
+    inputs = {flag[2:]: path for flag, path in zip(argv[1::2], argv[2::2])}
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    result = run_json(tmp_path, *argv)
+    for key, path in inputs.items():
+        assert opened.count(path) == 1
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert result["inputs"][key] == digest
+
+
 def test_cli_diagram_unit_module(tmp_path):
     result = run_json(tmp_path, "diagram", "--module", fx("module_unit.json"))
     assert result["payload"]["vertices"] == [[[0, 0], 1]]

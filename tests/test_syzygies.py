@@ -214,6 +214,42 @@ def test_presentation_worked_example():
         assert relation_defect(r, gens).is_zero
 
 
+def _completion_counts(monkeypatch, order, gens):
+    """relations_of_generators on gens, with the completions it makes
+    counted by the identities of the input series."""
+    from formaldiv import division, syzygies
+    counts = {}
+    complete = division.complete_to_standard_basis
+
+    def counted(order, generators):
+        key = tuple(map(id, generators))
+        counts[key] = counts.get(key, 0) + 1
+        return complete(order, generators)
+
+    monkeypatch.setattr(division, "complete_to_standard_basis", counted)
+    monkeypatch.setattr(syzygies, "complete_to_standard_basis", counted)
+    return relations_of_generators(order, gens), counts
+
+
+@pytest.mark.parametrize("source", ["worked_example", "family_relations.json"])
+def test_presentation_completes_each_list_once(monkeypatch, source):
+    if source == "worked_example":
+        order = unit_order(2)
+        gens = [
+            ser(2, 1, 6, {(2, 0): 1}),
+            ser(2, 1, 6, {(0, 2): 1}),
+            ser(2, 1, 6, {(2, 0): 1, (0, 2): 1}),
+        ]
+    else:
+        pm = io.parse_module_file(
+            str(Path(__file__).parent / "fixtures" / source)).param_module()
+        order, gens = pm.order, pm.localized()[1]
+    pres, counts = _completion_counts(monkeypatch, order, gens)
+    assert len(pres.subset) < len(gens)
+    assert counts[tuple(map(id, gens))] == 1
+    assert counts[tuple(id(gens[i]) for i in pres.subset)] == 1
+
+
 def test_presentation_already_minimal():
     order = unit_order(2)
     gens = [ser(2, 1, 6, {(2, 0): 1}), ser(2, 1, 6, {(0, 2): 1})]
