@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # of its names (PEP 562), so ``import formaldiv`` loads none of them.
 _EXPORTS = {
     "coefficients": (
-        "QQ", "DenominatorSet", "LocalizedFraction", "LocalizedRing",
+        "DenominatorSet", "LocalizedFraction", "LocalizedRing",
         "ParamPolynomial", "PolynomialRing", "format_coefficient",
         "parse_coefficient",
     ),
@@ -42,6 +42,7 @@ _EXPORTS = {
         "relation_multiplier_bound", "sample_points", "semicontinuity_scan",
         "specialize", "specialized_relations_check",
     ),
+    "rationals": ("QQ",),
     "series": ("InitialData", "TruncatedSeries"),
     "syzygies": (
         "RelationPresentation", "SyzygyBasis", "reduce_relation",

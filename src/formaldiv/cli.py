@@ -140,8 +140,11 @@ def _parse_grid(spec, param_names):
         lo, sep2, hi = rng.partition("..")
         if not sep2:
             raise SchemaError(f"--grid: expected 'lo..hi' in {part!r}")
+        name = name.strip()
+        if name in entries:
+            raise SchemaError(f"--grid: repeated parameter {name!r}")
         try:
-            entries[name.strip()] = (int(lo), int(hi))
+            entries[name] = (int(lo), int(hi))
         except ValueError as exc:
             raise SchemaError(f"--grid: {exc}") from None
     missing = [nm for nm in param_names if nm not in entries]
@@ -158,28 +161,31 @@ def _point_source(args, pm, hashes):
     """Points (and optional refinement points) from file, grid, or seed.
 
     Returns (points, refinement points or None, source descriptor); the
-    descriptor is echoed in the payload so sampling is reproducible.
+    descriptor is echoed in the payload so sampling is reproducible.  An
+    empty point set is a precondition violation: it would pass vacuously.
     """
     from .families import grid_points, sample_points
     arity = len(pm.param_names)
+    refine = None
     if args.points:
         hashes["points"], data = io.load_json(args.points)
         source = {"kind": "file", "path": args.points}
-        return io.load_points_data(data, arity, source=str(args.points)), None, source
-    if args.grid:
+        points = io.load_points_data(data, arity, source=str(args.points))
+    elif args.grid:
         hashes["points"] = io.hash_bytes(f"grid:{args.grid}".encode())
         ranges = _parse_grid(args.grid, pm.param_names)
-        base = grid_points(ranges, step=Fraction(1))
+        points = grid_points(ranges, step=Fraction(1))
         refine = grid_points(ranges, step=Fraction(1, 2)) if args.refine else None
         source = {"kind": "grid", "spec": args.grid, "refined": bool(args.refine)}
-        return base, refine, source
-    if args.seed is not None:
-        hashes["points"] = io.hash_bytes(
-            f"seed:{args.seed}:count:{args.count}".encode()
-        )
+    elif args.seed is not None:
+        hashes["points"] = io.hash_bytes(f"seed:{args.seed}:count:{args.count}".encode())
         source = {"kind": "seed", "seed": args.seed, "count": args.count}
-        return sample_points(arity, args.count, args.seed), None, source
-    raise SchemaError("one of --points, --grid, or --seed is required")
+        points = sample_points(arity, args.count, args.seed)
+    else:
+        raise SchemaError("one of --points, --grid, or --seed is required")
+    if not points:
+        raise PreconditionError("empty point set")
+    return points, refine, source
 
 
 def _dispatch(args):
@@ -197,9 +203,7 @@ def _dispatch(args):
                 [f"Q{i + 1}" for i in range(len(gens))], res.quotients, order
             ),
             "remainder": io.series_to_json(res.remainder, order),
-            "denominators_introduced": [
-                io.format_coefficient(p) for p in res.new_denominators
-            ],
+            "denominators_introduced": [io.coeff_to_json(p) for p in res.new_denominators],
         }
         return payload, hashes
 
@@ -232,9 +236,7 @@ def _dispatch(args):
                 [f"Psi{i + 1}" for i in range(len(basis.elements))],
                 basis.elements, order,
             ),
-            "denominators": [
-                io.format_coefficient(p) for p in basis.new_denominators
-            ],
+            "denominators": [io.coeff_to_json(p) for p in basis.new_denominators],
         }
         return payload, hashes
 

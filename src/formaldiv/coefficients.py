@@ -1,8 +1,8 @@
 """Exact coefficient rings and the text grammar for coefficient expressions.
 
-Three rings are available:
+Besides the rationals (``rationals.QQ``, plain ``fractions.Fraction``
+values), two rings are available:
 
-* the rationals (plain ``fractions.Fraction`` values);
 * sparse multivariate polynomials over the rationals in named parameters;
 * localized fractions poly / (product of declared denominator generators).
 
@@ -350,39 +350,6 @@ class LocalizedFraction:
 
 
 Coefficient = Union[Fraction, ParamPolynomial, LocalizedFraction]
-
-
-class RationalField:
-    """Coefficient ring of plain rationals."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
-
-    def from_fraction(self, v) -> Fraction:
-        return Fraction(v)
-
-    def divide_by_unit(self, a, s):
-        if not s:
-            raise NotInvertibleError("division by zero")
-        return a / s
-
-    def evaluate(self, a, point) -> Fraction:
-        return a
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
 
 
 class PolynomialRing:

@@ -21,9 +21,8 @@ with every result.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .coefficients import LocalizedRing, ParamPolynomial
 from .errors import PreconditionError, ZeroDivisorError
 from .exponents import (
     DeltaPartition,
@@ -33,6 +32,9 @@ from .exponents import (
     sub_alpha,
 )
 from .series import TruncatedSeries, _dot
+
+if TYPE_CHECKING:
+    from .coefficients import ParamPolynomial
 
 
 class DivisionResult(NamedTuple):
@@ -107,8 +109,9 @@ def _replay_canonical(source, rows):
 
 def _ensure_unit(ring, coeff, sink: list):
     """Make coeff invertible over a localized ring, recording new generators."""
-    if isinstance(ring, LocalizedRing):
-        g = ring.dset.register(coeff.num)
+    dset = getattr(ring, "dset", None)
+    if dset is not None:
+        g = dset.register(coeff.num)
         if g is not None:
             sink.append(g)
 

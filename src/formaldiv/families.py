@@ -18,13 +18,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import NamedTuple, Optional, Sequence
 
-from .coefficients import (
-    QQ,
-    DenominatorSet,
-    LocalizedRing,
-    ParamPolynomial,
-    PolynomialRing,
-)
+from .coefficients import DenominatorSet, LocalizedRing, ParamPolynomial, PolynomialRing
 from .division import StandardBasis, complete_to_standard_basis, hironaka_divide
 from .errors import (
     PreconditionError,
@@ -41,6 +35,7 @@ from .exponents import (
     sub_alpha,
 )
 from .linalg import kernel_basis, solvable
+from .rationals import QQ
 from .series import TruncatedSeries
 from .syzygies import (
     RelationPresentation,

@@ -10,26 +10,25 @@ written unless explicitly requested.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import __version__
-from .coefficients import (
-    QQ,
-    LocalizedFraction,
-    ParamPolynomial,
-    PolynomialRing,
-    format_coefficient,
-    parse_coefficient,
-)
 from .errors import ExpressionError, SchemaError
 from .exponents import Diagram, ModExponent, Ordering, PositiveLinearForm, StandardOrder
+from .rationals import QQ
 from .series import TruncatedSeries
 
+try:  # CPython 3.10 and 3.11: sha256 without loading OpenSSL
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 if TYPE_CHECKING:
+    from .coefficients import ParamPolynomial
     from .families import (
         ExceptionalCertificates,
         ParamModule,
@@ -79,6 +78,24 @@ def _expect(cond, path, message):
         raise SchemaError(f"{path}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Integer and fraction literals (nonzero denominator) parse to Fraction(text).
+_QQ_LITERAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
+def _parse_expression(text: str, param_names, path):
+    if not param_names and _QQ_LITERAL.fullmatch(text):
+        return Fraction(text)
+    from .coefficients import parse_coefficient
+    try:
+        return parse_coefficient(text, param_names)
+    except ExpressionError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
 def _as_fraction(value, path) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(f"{path}: expected integer or rational string")
@@ -92,10 +109,7 @@ def load_module_data(data, source="module") -> LoadedModule:
     _expect(isinstance(data, dict), source, "expected a JSON object")
     for key in ("n", "p", "D"):
         _expect(key in data, f"{source}.{key}", "missing required field")
-        _expect(
-            isinstance(data[key], int) and not isinstance(data[key], bool),
-            f"{source}.{key}", "expected an integer",
-        )
+        _expect(_is_int(data[key]), f"{source}.{key}", "expected an integer")
     n, p, trunc = data["n"], data["p"], data["D"]
     _expect(n >= 1, f"{source}.n", "must be >= 1")
     _expect(p >= 1, f"{source}.p", "must be >= 1")
@@ -118,6 +132,8 @@ def load_module_data(data, source="module") -> LoadedModule:
     _expect(len(set(param_names)) == len(param_names),
             f"{source}.parameters", "duplicate parameter names")
 
+    if param_names:
+        from .coefficients import PolynomialRing
     ring = PolynomialRing(param_names) if param_names else QQ
 
     denom_raw = data.get("denominators", [])
@@ -128,10 +144,7 @@ def load_module_data(data, source="module") -> LoadedModule:
     for i, text in enumerate(denom_raw):
         path = f"{source}.denominators[{i}]"
         _expect(isinstance(text, str), path, "expected an expression string")
-        try:
-            poly = parse_coefficient(text, param_names)
-        except ExpressionError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
+        poly = _parse_expression(text, param_names, path)
         _expect(bool(poly), path, "zero polynomial cannot be inverted")
         seed.append(poly)
 
@@ -153,25 +166,22 @@ def load_module_data(data, source="module") -> LoadedModule:
             tpath = f"{path}.terms[{ti}]"
             _expect(isinstance(term, dict), tpath, "expected an object")
             comp = term.get("component", 1)
-            _expect(isinstance(comp, int) and 1 <= comp <= p,
+            _expect(_is_int(comp) and 1 <= comp <= p,
                     f"{tpath}.component", f"expected an integer in 1..{p}")
             exp = term.get("exponent")
             _expect(
                 isinstance(exp, list) and len(exp) == n
-                and all(isinstance(e, int) and e >= 0 for e in exp),
+                and all(_is_int(e) and e >= 0 for e in exp),
                 f"{tpath}.exponent", f"expected {n} nonnegative integers",
             )
             _expect(sum(exp) <= trunc, f"{tpath}.exponent",
                     f"term degree {sum(exp)} exceeds D={trunc}")
             coeff_raw = term.get("coeff", "1")
-            if isinstance(coeff_raw, int) and not isinstance(coeff_raw, bool):
+            if _is_int(coeff_raw):
                 coeff_raw = str(coeff_raw)
             _expect(isinstance(coeff_raw, str), f"{tpath}.coeff",
                     "expected an expression string or integer")
-            try:
-                coeff = parse_coefficient(coeff_raw, param_names)
-            except ExpressionError as exc:
-                raise SchemaError(f"{tpath}.coeff: {exc}") from None
+            coeff = _parse_expression(coeff_raw, param_names, f"{tpath}.coeff")
             e = ModExponent(tuple(exp), comp)
             if e in terms:
                 raise SchemaError(f"{tpath}: duplicate exponent {exp} in {name!r}")
@@ -223,7 +233,10 @@ def load_points_data(data, arity: int, source) -> list[tuple[Fraction, ...]]:
 # ---------------------------------------------------------------------------
 
 def coeff_to_json(c):
-    if isinstance(c, (Fraction, ParamPolynomial)):
+    if isinstance(c, Fraction):
+        return str(c)
+    from .coefficients import LocalizedFraction, ParamPolynomial, format_coefficient
+    if isinstance(c, ParamPolynomial):
         return format_coefficient(c)
     if isinstance(c, LocalizedFraction):
         if not c.powers:
@@ -263,20 +276,12 @@ def point_to_json(point) -> list:
 
 
 def certificates_to_json(certs: ExceptionalCertificates) -> dict:
+    det = certs.det_u_constant
     return {
-        "initial_coefficients": [
-            format_coefficient(p) for p in certs.initial_coefficients
-        ],
-        "denominator_generators": [
-            format_coefficient(p) for p in certs.denominator_generators
-        ],
-        "det_u_constant": (
-            format_coefficient(certs.det_u_constant)
-            if certs.det_u_constant is not None else None
-        ),
-        "certificate_polynomials": [
-            format_coefficient(p) for p in certs.all_polys()
-        ],
+        "initial_coefficients": [coeff_to_json(p) for p in certs.initial_coefficients],
+        "denominator_generators": [coeff_to_json(p) for p in certs.denominator_generators],
+        "det_u_constant": coeff_to_json(det) if det is not None else None,
+        "certificate_polynomials": [coeff_to_json(p) for p in certs.all_polys()],
     }
 
 
@@ -358,9 +363,7 @@ def presentation_to_json(pres: RelationPresentation, order) -> dict:
         "u": matrix(pres.u_matrix),
         "det_u_constant": coeff_to_json(pres.det_u_constant),
         "certificates": {
-            "denominator_generators": [
-                format_coefficient(p) for p in pres.denominator_generators
-            ],
+            "denominator_generators": [coeff_to_json(p) for p in pres.denominator_generators],
             "det_u_constant": coeff_to_json(pres.det_u_constant),
         },
     }
@@ -371,7 +374,7 @@ def presentation_to_json(pres: RelationPresentation, order) -> dict:
 # ---------------------------------------------------------------------------
 
 def hash_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def build_result(operation: str, input_hashes: dict, payload: dict,

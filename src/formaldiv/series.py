@@ -9,15 +9,17 @@ Values are treated as immutable after construction.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .coefficients import Coefficient
 from .errors import (
     AmbientMismatchError,
     PreconditionError,
     RingMismatchError,
 )
 from .exponents import ModExponent, add_alpha
+
+if TYPE_CHECKING:
+    from .coefficients import Coefficient
 
 
 class TruncatedSeries:

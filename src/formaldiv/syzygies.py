@@ -27,9 +27,9 @@ its survivors, through which the dropped series are expressed.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .coefficients import Coefficient, LocalizedFraction, LocalizedRing, ParamPolynomial
 from .division import (
     DivisionResult,
     StandardBasis,
@@ -53,6 +53,9 @@ from .exponents import (
     syzygy_order_for,
 )
 from .series import TruncatedSeries, _dot
+
+if TYPE_CHECKING:
+    from .coefficients import Coefficient, ParamPolynomial
 
 
 def syzygy_diagram(partition: DeltaPartition, *, order: SyzygyOrder) -> Diagram:
@@ -246,11 +249,10 @@ class RelationPresentation(NamedTuple):
     def det_u_certificate(self) -> Optional[ParamPolynomial]:
         """Polynomial whose nonvanishing certifies the presentation at a point."""
         c = self.det_u_constant
-        if isinstance(c, LocalizedFraction):
-            return c.num
-        if isinstance(c, ParamPolynomial):
-            return c
-        return None
+        if isinstance(c, Fraction):
+            return None
+        from .coefficients import LocalizedFraction
+        return c.num if isinstance(c, LocalizedFraction) else c
 
 
 def _express_in_subset(order, survivors, m, dropped):
@@ -363,7 +365,8 @@ def relations_of_generators(
             rel = rel + (-theta[i][l]).embed(perm_phi[i] + 1, q)
         relations.append(rel)
 
-    dens = tuple(ring.dset.generators) if isinstance(ring, LocalizedRing) else ()
+    dset = getattr(ring, "dset", None)
+    dens = tuple(dset.generators) if dset is not None else ()
     return RelationPresentation(
         generators=tuple(gens),
         relations=tuple(relations),

@@ -322,6 +322,40 @@ def test_exit_code_precondition():
     ) == 3
 
 
+@pytest.mark.parametrize("term", [
+    {"exponent": [True, False]},
+    {"exponent": [1, 0], "component": True},
+])
+def test_json_booleans_are_not_integers(tmp_path, term):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "p": 1, "D": 3, "series": [{"terms": [term]}]}))
+    assert run("diagram", "--module", str(path)) == 2
+
+
+@pytest.mark.parametrize("command, module", [
+    ("semicont-scan", "family_pivot.json"),
+    ("relations-check", "family_relations.json"),
+])
+@pytest.mark.parametrize("source", [
+    ("--seed", "1", "--count", "0"),
+    ("--seed", "1", "--count", "-3"),
+    ("--points", "EMPTY"),
+])
+def test_empty_point_set_is_a_precondition_violation(tmp_path, capsys, command, module, source):
+    empty = tmp_path / "points.json"
+    empty.write_text('{"points": []}')
+    argv = [str(empty) if arg == "EMPTY" else arg for arg in source]
+    assert run(command, "--module", fx(module), *argv) == 3
+    assert "empty point set" in capsys.readouterr().err
+
+
+def test_grid_rejects_a_repeated_parameter(capsys):
+    assert run(
+        "semicont-scan", "--module", fx("family_pivot.json"), "--grid", "xi1:-1..1,xi1:5..6"
+    ) == 2
+    assert "repeated parameter 'xi1'" in capsys.readouterr().err
+
+
 def test_exit_code_degeneracy():
     assert run(
         "specialize", "--module", fx("family_seeded.json"), "--at", "0"

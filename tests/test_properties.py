@@ -1,11 +1,13 @@
 """Property tests: the division contract and the order keys, on random QQ
-series under random positive weights (fractional ones included)."""
+series under random positive weights (fractional ones included), and the
+rational coefficient literals a module file may hold."""
 
 from datetime import timedelta
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from formaldiv import (
     QQ,
@@ -15,8 +17,11 @@ from formaldiv import (
     StandardOrder,
     TruncatedSeries,
     hironaka_divide,
+    io,
+    parse_coefficient,
 )
 from formaldiv.division import residual
+from formaldiv.errors import ExpressionError, SchemaError
 from formaldiv.exponents import SyzygyOrder, add_alpha
 
 PROPS = settings(max_examples=25, deadline=timedelta(seconds=5), database=None)
@@ -132,3 +137,32 @@ def test_order_keys_match_fraction_tuples(data):
     assert sorted(rel, key=syz.key) == sorted(rel, key=old_syz)
     for e1, e2 in zip(rel, rel[1:]):
         assert syz.compare(e1, e2) == _sign(old_syz(e1), old_syz(e2))
+
+
+@PROPS
+@given(st.text(alphabet="0123456789-+/.^() x\u0663", max_size=7))
+@example("3/0")
+@example("0/0")
+@example("-0")
+@example("007")
+@example("+3")
+@example(" 7 ")
+@example("1.5")
+@example("3/4/5")
+@example("-17/3")
+@example("\u0663")
+def test_rational_coefficients_load_as_the_parser_reads_them(text):
+    """A rational module's coeff loads to the Fraction parse_coefficient
+    returns, or fails with the parser's message under the coeff's path."""
+    data = {"n": 1, "p": 1, "D": 1,
+            "series": [{"terms": [{"exponent": [1], "coeff": text}]}]}
+    try:
+        expected = parse_coefficient(text)
+    except ExpressionError as exc:
+        with pytest.raises(SchemaError) as info:
+            io.load_module_data(data)
+        assert type(info.value) is SchemaError
+        assert str(info.value) == f"module.series[0].terms[0].coeff: {exc}"
+    else:
+        got = io.load_module_data(data).series["F1"].coefficient(ModExponent((1,), 1))
+        assert type(got) is Fraction and got == expected

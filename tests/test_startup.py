@@ -17,7 +17,9 @@ import formaldiv
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 SUBMODULES = {"cli", "coefficients", "division", "errors", "exponents",
-              "families", "io", "linalg", "series", "syzygies"}
+              "families", "io", "linalg", "rationals", "series", "syzygies"}
+# hashlib loads OpenSSL; CPython 3.10 and 3.11 hash with the builtin _sha256.
+NO_HASHLIB = sys.version_info < (3, 12)
 
 
 def loaded_after(code):
@@ -46,9 +48,11 @@ def test_import_package_loads_no_submodule():
 def test_import_cli_loads_the_division_path_only():
     names = loaded_after("import formaldiv.cli")
     assert formaldiv_modules(names) == {
-        "cli", "io", "errors", "coefficients", "exponents", "series", "division",
+        "cli", "io", "errors", "rationals", "exponents", "series", "division",
     }
     assert "dataclasses" not in names and "inspect" not in names
+    if NO_HASHLIB:
+        assert "hashlib" not in names
 
 
 def test_divide_loads_no_family_or_relation_module(tmp_path):
@@ -57,17 +61,31 @@ def test_divide_loads_no_family_or_relation_module(tmp_path):
         "--dividend", str(FIXTURES / "dividend_mixed.json"),
         "--out", str(tmp_path / "r.json"),
     ))
-    assert not formaldiv_modules(names) & {"families", "syzygies", "linalg"}
+    assert not formaldiv_modules(names) & {"coefficients", "families", "syzygies", "linalg"}
     assert "dataclasses" not in names and "inspect" not in names
+    if NO_HASHLIB:
+        assert "hashlib" not in names
 
 
 def test_relations_loads_syzygies_but_not_families(tmp_path):
-    mods = formaldiv_modules(loaded_after(cli_call(
+    names = loaded_after(cli_call(
         "relations", "--module", str(FIXTURES / "module_squares.json"),
         "--out", str(tmp_path / "r.json"),
-    )))
+    ))
+    mods = formaldiv_modules(names)
     assert "syzygies" in mods
-    assert not mods & {"families", "linalg"}
+    assert not mods & {"coefficients", "families", "linalg"}
+    if NO_HASHLIB:
+        assert "hashlib" not in names
+
+
+def test_parametric_divide_loads_coefficients(tmp_path):
+    mods = formaldiv_modules(loaded_after(cli_call(
+        "divide", "--module", str(FIXTURES / "family_pivot.json"),
+        "--dividend", str(FIXTURES / "dividend_param.json"),
+        "--out", str(tmp_path / "r.json"),
+    )))
+    assert "coefficients" in mods
 
 
 # -- package namespace ---------------------------------------------------------
