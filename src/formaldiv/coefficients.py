@@ -60,6 +60,13 @@ class ParamPolynomial:
                     del clean[exp]
         self.terms = clean
 
+    @classmethod
+    def _clean(cls, names, terms) -> "ParamPolynomial":
+        # terms already clean: tuple exponents of arity len(names), nonzero Fractions
+        p = object.__new__(cls)
+        p.names, p.terms = names, terms
+        return p
+
     # -- constructors -------------------------------------------------
     @classmethod
     def constant(cls, names, value) -> "ParamPolynomial":
@@ -101,15 +108,15 @@ class ParamPolynomial:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out[e] + c if e in out else c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return ParamPolynomial(self.names, out)
+                del out[e]
+        return ParamPolynomial._clean(self.names, out)
 
     def __neg__(self):
-        return ParamPolynomial(self.names, {e: -c for e, c in self.terms.items()})
+        return ParamPolynomial._clean(self.names, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -120,12 +127,12 @@ class ParamPolynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out[e] + c1 * c2 if e in out else c1 * c2
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return ParamPolynomial(self.names, out)
+        return ParamPolynomial._clean(self.names, out)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -137,7 +144,8 @@ class ParamPolynomial:
 
     def scale(self, c) -> "ParamPolynomial":
         c = Fraction(c)
-        return ParamPolynomial(self.names, {e: v * c for e, v in self.terms.items()})
+        return ParamPolynomial._clean(
+            self.names, {e: v * c for e, v in self.terms.items()} if c else {})
 
     def __eq__(self, other):
         return (
@@ -172,8 +180,8 @@ class ParamPolynomial:
                 return None
             coeff = rc / gc
             q[diff] = coeff
-            r = r - g * ParamPolynomial(self.names, {diff: coeff})
-        return ParamPolynomial(self.names, q)
+            r = r - g * ParamPolynomial._clean(self.names, {diff: coeff})
+        return ParamPolynomial._clean(self.names, q)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != len(self.names):
@@ -207,6 +215,7 @@ class DenominatorSet:
         self.names = tuple(names)
         self.generators: list[ParamPolynomial] = []
         self._factor_memo: dict = {}
+        self._power_memo: dict = {}
         for g in seed:
             if not g:
                 raise PreconditionError("zero polynomial in denominator set")
@@ -264,11 +273,14 @@ class DenominatorSet:
         return res
 
     def power_product(self, powers: dict[int, int]) -> ParamPolynomial:
-        out = ParamPolynomial.constant(self.names, 1)
-        for idx in sorted(powers):
-            k = powers[idx]
-            if k:
+        # memoized on the sorted positive powers: an index names one generator
+        key = tuple(sorted((i, k) for i, k in powers.items() if k))
+        out = self._power_memo.get(key)
+        if out is None:
+            out = ParamPolynomial.constant(self.names, 1)
+            for idx, k in key:
                 out = out * self.generators[idx] ** k
+            self._power_memo[key] = out
         return out
 
 
@@ -290,18 +302,20 @@ class LocalizedFraction:
         return bool(self.num)
 
     def _common(self, other):
-        # shared denominator exponents and the complementary multipliers
+        # shared denominator exponents and both numerators over them
         keys = set(self.powers) | set(other.powers)
         top = {i: max(self.powers.get(i, 0), other.powers.get(i, 0)) for i in keys}
-        mul_self = {i: top[i] - self.powers.get(i, 0) for i in keys}
-        mul_other = {i: top[i] - other.powers.get(i, 0) for i in keys}
-        return top, mul_self, mul_other
+        return top, self._lift(top), other._lift(top)
+
+    def _lift(self, top):
+        # the numerator over the denominator exponents top >= self.powers
+        mul = {i: k - self.powers.get(i, 0) for i, k in top.items()}
+        return self.num * self.dset.power_product(mul) if any(mul.values()) else self.num
 
     def __add__(self, other):
         self._check(other)
-        top, ms, mo = self._common(other)
-        num = self.num * self.dset.power_product(ms) + other.num * self.dset.power_product(mo)
-        return LocalizedFraction(num, top, self.dset)
+        top, num_self, num_other = self._common(other)
+        return LocalizedFraction(num_self + num_other, top, self.dset)
 
     def __neg__(self):
         return LocalizedFraction(-self.num, self.powers, self.dset)
@@ -320,8 +334,8 @@ class LocalizedFraction:
         if not isinstance(other, LocalizedFraction):
             return NotImplemented
         self._check(other)
-        _, ms, mo = self._common(other)
-        return self.num * self.dset.power_product(ms) == other.num * self.dset.power_product(mo)
+        _, num_self, num_other = self._common(other)
+        return num_self == num_other
 
     def __hash__(self):
         raise TypeError("localized fractions are not hashable")

@@ -30,9 +30,9 @@ from .exponents import (
     Ordering,
     PositiveLinearForm,
     StandardOrder,
+    add_alpha,
     compare_diagrams,
     iter_alphas,
-    sub_alpha,
 )
 from .linalg import kernel_basis, solvable
 from .rationals import QQ
@@ -290,7 +290,7 @@ def oracle_relations(
     if not gens:
         return []
     first = gens[0]
-    n, p, trunc, q = first.n, first.p, first.trunc, len(gens)
+    n, trunc, q = first.n, first.trunc, len(gens)
     if first.ring != QQ:
         raise PreconditionError("oracle relations run over rational coefficients")
     if bound is None:
@@ -300,26 +300,24 @@ def oracle_relations(
     betas = list(iter_alphas(n, bound))
     columns = [(g, beta) for g in gens for beta in betas]
     slots = [ModExponent(beta, i + 1) for i in range(q) for beta in betas]
-    rows = []
-    for comp in range(1, p + 1):
-        for alpha in iter_alphas(n, trunc):
-            row = _multiplier_row(alpha, comp, columns)
-            if any(row):
-                rows.append(row)
+    rows = _multiplier_rows(columns, trunc).values()
     return [
-        TruncatedSeries(n, q, trunc, QQ, {e: c for e, c in zip(slots, vec) if c})
+        TruncatedSeries(n, q, trunc, QQ, {slots[j]: c for j, c in vec.items()})
         for vec in kernel_basis(rows, len(columns))
     ]
 
 
-def _multiplier_row(alpha, comp, columns):
-    """Coefficient of x^alpha in slot comp of x^beta * s, for each column
-    (s, beta); 0 where beta does not divide alpha."""
-    row = []
-    for s, beta in columns:
-        diff = sub_alpha(alpha, beta)
-        row.append(QQ.zero if diff is None else s.terms.get(ModExponent(diff, comp), QQ.zero))
-    return row
+def _multiplier_rows(columns, trunc):
+    """Sparse rows of the map sending column j = (s, beta) to x^beta * s:
+    row (alpha, comp) holds, for degree(alpha) <= trunc, the coefficient of
+    x^alpha in slot comp of each product.  Rows that stay zero are absent."""
+    rows = {}
+    for j, (s, beta) in enumerate(columns):
+        room = trunc - sum(beta)
+        for e, c in s.terms.items():
+            if e.degree <= room:
+                rows.setdefault((add_alpha(e.alpha, beta), e.comp), {})[j] = c
+    return rows
 
 
 class RelationsPointRecord(NamedTuple):
@@ -408,16 +406,13 @@ def _spanned_linear(span_rels, gens_a, h) -> bool:
     identity on the non-inert coordinates of degree <= trunc."""
     n, trunc, q = h.n, h.trunc, h.p
     active = _active_test(gens_a, trunc)
-    betas = list(iter_alphas(n, trunc))
-    columns = [(g, beta) for g in span_rels for beta in betas]
-    rows = []
-    rhs = []
-    for comp in range(1, q + 1):
-        for alpha in iter_alphas(n, trunc):
-            if active(sum(alpha), comp):
-                rows.append(_multiplier_row(alpha, comp, columns))
-                rhs.append(h.terms.get(ModExponent(alpha, comp), QQ.zero))
-    return solvable(rows, rhs)
+    alphas = list(iter_alphas(n, trunc))
+    built = _multiplier_rows([(g, beta) for g in span_rels for beta in alphas], trunc)
+    # every active row counts: a zero row with a nonzero h term is unsolvable
+    keys = [(alpha, comp) for comp in range(1, q + 1) for alpha in alphas
+            if active(sum(alpha), comp)]
+    return solvable([built.get(k, {}) for k in keys],
+                    [h.terms.get(k, QQ.zero) for k in keys])
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,13 @@ from .exponents import Diagram, ModExponent, Ordering, PositiveLinearForm, Stand
 from .rationals import QQ
 from .series import TruncatedSeries
 
-try:  # CPython 3.10 and 3.11: sha256 without loading OpenSSL
+try:  # builtin sha256, no OpenSSL: _sha256 up to CPython 3.11, then _sha2
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .coefficients import ParamPolynomial

@@ -1,65 +1,76 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Small helper used for kernel computations in the specialization checks;
-matrices are lists of Fraction rows.
+Small helper used for kernel computations in the specialization checks.
+A matrix is a list of rows, each a {column: Fraction} dict that holds no
+zeros.  Elimination runs on integer rows, each kept free of a common
+factor, and touches only their nonzero entries.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if piv is None:
+def rref(rows) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of the sparse rows: its nonzero rows in
+    pivot order and their pivot columns.
+
+    Rows are taken one at a time, cleared at the pivot columns found so far,
+    and pivot on their lowest column; the earlier rows are then cleared at
+    that column.  So the pivot rows end as the unique reduced echelon basis
+    of the row space, up to the scale that dividing by the pivot removes.
+    """
+    done = {}  # pivot column -> its integer row
+    for row in rows:
+        if not row:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
-
-
-def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the null space of the matrix (one vector per free column)."""
-    if not rows:
-        return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    mat, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
+        d = lcm(*(v.denominator for v in row.values()))
+        row = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
+        for c in [c for c in row if c in done]:
+            _clear(row, c, done[c])
+        if not row:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][free]
-        basis.append(vec)
-    return basis
+        p = min(row)
+        for other in done.values():
+            if p in other:
+                _clear(other, p, row)
+        done[p] = row
+    pivots = sorted(done)
+    return [{k: Fraction(v, done[p][p]) for k, v in done[p].items()} for p in pivots], pivots
 
 
-def solvable(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+def _clear(row: dict, c: int, pivot_row: dict) -> None:
+    # row <- (a * row - b * pivot_row) / g in place, with the least a, b that
+    # zero column c and g the gcd of the entries that are left
+    g = gcd(pivot_row[c], row[c])
+    a, b = pivot_row[c] // g, row[c] // g
+    for k in row:
+        row[k] *= a
+    for k, v in pivot_row.items():
+        s = row.get(k, 0) - b * v
+        if s:
+            row[k] = s
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    for k in row:
+        row[k] //= g
+
+
+def kernel_basis(rows, ncols: int) -> list[dict]:
+    """Basis of the null space of the matrix with ncols columns, one sparse
+    vector per free column, in column order."""
+    reduced, pivots = rref(rows)
+    basis = {free: {free: Fraction(1)} for free in range(ncols) if free not in pivots}
+    for row, pc in zip(reduced, pivots):
+        for k, v in row.items():
+            if k != pc:
+                basis[k][pc] = -v
+    return [dict(sorted(vec.items())) for vec in basis.values()]
+
+
+def solvable(rows, rhs) -> bool:
     """Whether the system rows * x = rhs has a solution."""
-    if not rows:
-        return all(v == 0 for v in rhs)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    mat, pivots = rref(aug)
-    ncols = len(rows[0])
-    return all(pc < ncols for pc in pivots)
+    rows = list(rows)
+    extra = 1 + max((c for row in rows for c in row), default=-1)
+    _, pivots = rref({**row, extra: b} if b else row for row, b in zip(rows, rhs))
+    return not pivots or pivots[-1] != extra

@@ -73,6 +73,73 @@ def test_ring_axioms_random():
         assert not (x + (-x))
 
 
+# -- internal results skip re-validation ---------------------------------------
+
+def _assert_clean(p):
+    """What the validating constructor would have produced."""
+    assert p == ParamPolynomial(p.names, p.terms)
+    assert type(p.names) is tuple
+    assert all(type(e) is tuple and len(e) == len(p.names) for e in p.terms)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+
+
+def test_arithmetic_results_equal_their_validated_rebuild():
+    rng = random.Random(11)
+    names = ("a", "b")
+
+    def rand_poly():
+        return ParamPolynomial(
+            names,
+            {
+                (rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for _ in range(rng.randint(0, 4))
+            },
+        )
+
+    a, b = (ParamPolynomial.variable(names, v) for v in names)
+    _assert_clean((a + b) * (a - b))  # the a*b terms cancel
+    for _ in range(60):
+        x, y = rand_poly(), rand_poly()
+        results = [x + y, x - y, x - x, x + (-x), -x, x * y, x ** 2,
+                   x.scale(Fraction(-2, 3)), x.scale(0), x.scale(5)]
+        if y:
+            assert (x * y).exact_div(y) == x
+            results.append((x * y).exact_div(y))
+        quotient = x.exact_div(y)
+        if quotient is not None:
+            assert quotient * y == x
+            results.append(quotient)
+        for r in results:
+            _assert_clean(r)
+
+
+def test_power_product_memo_is_never_stale():
+    names = ("a", "b")
+    dset = DenominatorSet(names, seed=[poly("a", names), poly("a + b", names)])
+
+    def fresh(powers):
+        out = ParamPolynomial.constant(names, 1)
+        for i, k in powers.items():
+            for _ in range(k):
+                out = out * dset.generators[i]
+        return out
+
+    first = dset.power_product({0: 2, 1: 0})
+    assert first == fresh({0: 2})
+    dset.register(poly("b + 1", names))
+    dset.register(poly("a - 2*b", names))
+    assert dset.power_product({1: 1}) == fresh({1: 1})
+    assert dset.power_product({0: 1}) == fresh({0: 1})
+    rng = random.Random(5)
+    for _ in range(40):
+        powers = {i: rng.randint(0, 2) for i in rng.sample(range(4), rng.randint(0, 4))}
+        assert dset.power_product(powers) == fresh(powers)
+    # one memo entry per product: zero powers and the dict's order do not count
+    assert dset.power_product({1: 0, 0: 2}) is first
+    assert dset.power_product({0: 2}) is first
+    assert dset.power_product({3: 1, 0: 2}) is dset.power_product({0: 2, 3: 1})
+
+
 # -- divide_by_unit -------------------------------------------------------------
 
 def test_divide_by_unit_rational():

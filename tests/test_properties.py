@@ -1,10 +1,13 @@
 """Property tests: the division contract and the order keys, on random QQ
-series under random positive weights (fractional ones included), and the
-rational coefficient literals a module file may hold."""
+series under random positive weights (fractional ones included), the
+rational coefficient literals a module file may hold, and the sparse exact
+linear algebra against the dense oracle."""
 
+import ast
 from datetime import timedelta
 from fractions import Fraction
 from functools import lru_cache, partial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +26,9 @@ from formaldiv import (
 from formaldiv.division import residual
 from formaldiv.errors import ExpressionError, SchemaError
 from formaldiv.exponents import SyzygyOrder, add_alpha
+from formaldiv.linalg import kernel_basis, rref, solvable
+
+import oracle
 
 PROPS = settings(max_examples=25, deadline=timedelta(seconds=5), database=None)
 
@@ -166,3 +172,91 @@ def test_rational_coefficients_load_as_the_parser_reads_them(text):
     else:
         got = io.load_module_data(data).series["F1"].coefficient(ModExponent((1,), 1))
         assert type(got) is Fraction and got == expected
+
+
+# -- sparse linear algebra -------------------------------------------------------
+
+# mostly zeros, as in the relation systems the families checks build
+entry_st = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def dense_systems(draw):
+    """(matrix as dense Fraction rows, column count, right-hand side); empty
+    matrices, zero columns and all-zero rows included."""
+    ncols = draw(st.integers(0, 6))
+    nrows = draw(st.integers(0, 7))
+    matrix = [[draw(entry_st) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = [draw(entry_st) for _ in range(nrows)]
+    return matrix, ncols, rhs
+
+
+def _sparse(matrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+F = Fraction
+LINALG_EXAMPLES = [
+    ([], 0, []),
+    ([], 3, []),
+    ([[], []], 0, [F(0), F(2)]),
+    ([[F(0), F(0)], [F(1), F(0)]], 2, [F(1), F(0)]),
+    ([[F(0), F(2), F(0)], [F(0), F(4), F(0)]], 3, [F(1), F(2)]),
+    ([[F(1, 2), F(1, 3)], [F(3), F(2)]], 2, [F(1), F(6)]),
+]
+
+
+def _with_examples(test):
+    for case in LINALG_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@PROPS
+@given(dense_systems())
+@_with_examples
+def test_rref_matches_the_normalized_oracle_echelon_form(system):
+    matrix, _, _ = system
+    reduced, pivots = rref(_sparse(matrix))
+    mat, oracle_pivots = oracle.row_echelon(matrix)
+    assert pivots == oracle_pivots
+    assert reduced == [
+        {j: v / mat[r][pc] for j, v in enumerate(mat[r]) if v}
+        for r, pc in enumerate(oracle_pivots)
+    ]
+
+
+@PROPS
+@given(dense_systems())
+@_with_examples
+def test_kernel_basis_is_annihilated_and_counts_the_nullity(system):
+    matrix, ncols, _ = system
+    basis = kernel_basis(_sparse(matrix), ncols)
+    assert len(basis) == ncols - oracle.rank(matrix)
+    dense = [[vec.get(j, F(0)) for j in range(ncols)] for vec in basis]
+    assert oracle.rank(dense) == len(basis)
+    for vec in basis:
+        assert all(0 <= j < ncols and v for j, v in vec.items())
+        for row in matrix:
+            assert sum(row[j] * v for j, v in vec.items()) == 0
+
+
+@PROPS
+@given(dense_systems())
+@_with_examples
+def test_solvable_agrees_with_the_oracle(system):
+    matrix, _, rhs = system
+    assert solvable(_sparse(matrix), rhs) == oracle.linear_solvable(matrix, rhs)
+
+
+def test_oracle_does_not_import_the_engine_linear_algebra():
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert not {name for name in imported if "linalg" in name}

@@ -8,6 +8,7 @@ Nothing is timed.
 import subprocess
 import sys
 from importlib import import_module
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 SUBMODULES = {"cli", "coefficients", "division", "errors", "exponents",
               "families", "io", "linalg", "rationals", "series", "syzygies"}
-# hashlib loads OpenSSL; CPython 3.10 and 3.11 hash with the builtin _sha256.
-NO_HASHLIB = sys.version_info < (3, 12)
+# hashlib loads OpenSSL; CPython hashes with its builtin _sha256 (up to 3.11)
+# or _sha2 (3.12 and later) wherever the build has one.
+NO_HASHLIB = any(find_spec(name) for name in ("_sha256", "_sha2"))
 
 
 def loaded_after(code):
