@@ -49,13 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--at", required=True,
                            help="comma-separated rational parameter values")
         if points:
-            p.add_argument("--points", help="points file (JSON)")
-            p.add_argument("--grid", help="grid spec, e.g. 'xi1:-2..2'")
-            p.add_argument("--refine", action="store_true",
-                           help="also scan the half-step refinement of the grid")
-            p.add_argument("--seed", type=int, help="seed for random sample points")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--points", help="points file (JSON)")
+            source.add_argument("--grid", help="grid spec, e.g. 'xi1:-2..2'")
+            source.add_argument("--seed", type=int, help="seed for random sample points")
             p.add_argument("--count", type=int, default=100,
                            help="number of random sample points (with --seed)")
+            p.set_defaults(refine=False)
         if canonical:
             p.add_argument("--canonical", action="store_true",
                            help="emit the canonical basis")
@@ -73,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("relations", "generating relations of the given generators")
     add("compare-diagrams", "compare the diagrams of two modules", other=True)
     add("specialize", "evaluate a parametrized module at a point", at=True)
-    add("semicont-scan", "diagram census over sample points", points=True)
+    scan = add("semicont-scan", "diagram census over sample points", points=True)
+    scan.add_argument("--refine", action="store_true",
+                      help="also scan the half-step refinement of the grid")
     add("relations-check", "verify specialized relations generate", points=True)
     return parser
 
@@ -166,6 +168,8 @@ def _point_source(args, pm, hashes):
     """
     from .families import grid_points, sample_points
     arity = len(pm.param_names)
+    if args.refine and not args.grid:
+        raise SchemaError("--refine needs --grid")
     refine = None
     if args.points:
         hashes["points"], data = io.load_json(args.points)

@@ -193,7 +193,7 @@ class ParamPolynomial:
             v = c
             for base, k in zip(point, e):
                 if k:
-                    v *= Fraction(base) ** k
+                    v *= base ** k
             total += v
         return total
 

@@ -19,7 +19,7 @@ from functools import cmp_to_key
 from typing import NamedTuple, Optional, Sequence
 
 from .coefficients import DenominatorSet, LocalizedRing, ParamPolynomial, PolynomialRing
-from .division import StandardBasis, complete_to_standard_basis, hironaka_divide
+from .division import StandardBasis, complete_to_standard_basis
 from .errors import (
     PreconditionError,
     VanishingDenominatorError,
@@ -34,15 +34,10 @@ from .exponents import (
     compare_diagrams,
     iter_alphas,
 )
-from .linalg import kernel_basis, solvable
+from .linalg import kernel_basis, rref
 from .rationals import QQ
 from .series import TruncatedSeries
-from .syzygies import (
-    RelationPresentation,
-    _active_test,
-    active_part,
-    relations_of_generators,
-)
+from .syzygies import RelationPresentation, _active_test, relations_of_generators
 
 
 class _ParamModuleFields(NamedTuple):
@@ -342,7 +337,8 @@ def specialized_relations_check(
 
     At every sample point where all certificates are nonzero, each relation
     of the specialized generators found by the linear-algebra oracle must lie
-    in the span of the specialized emitted relations (modulo degree > trunc).
+    in the span of the specialized emitted relations (modulo degree > trunc
+    and inert coordinates; see _all_spanned).
     """
     ring, gens = pm.localized()
     pres = relations_of_generators(pm.order, gens)
@@ -367,7 +363,7 @@ def specialized_relations_check(
             continue
         bound = relation_multiplier_bound(pm.order, gens_a)
         oracle = oracle_relations(gens_a, bound)
-        spanned = _all_spanned(pm, gens_a, rels_a, oracle)
+        spanned = _all_spanned(rels_a, gens_a, oracle)
         if not spanned:
             all_passed = False
         records.append(
@@ -377,42 +373,22 @@ def specialized_relations_check(
     return RelationsCheckReport(pres, certs, records, all_passed)
 
 
-def _all_spanned(pm, gens_a, span_rels, candidates) -> bool:
-    """Whether every candidate lies in the span of the specialized relations,
-    modulo inert coordinates (terms acting as zero below the horizon).
+def _all_spanned(span_rels, gens_a, candidates) -> bool:
+    """Whether every candidate is a rational combination of the multiples
+    x^beta * r of the span relations, as an identity on the coordinates of
+    degree <= trunc that are not inert (syzygies.active_part).
 
-    Division through a completed basis of the span decides almost every case
-    quickly; the rare leftovers (inert-degree edge effects) get the exact
-    linear-algebra answer.
+    One row reduction decides it: the multiples are the leading columns and
+    the candidates the trailing ones, so a candidate outside the span shows
+    as a pivot in a candidate column.
     """
-    span = [active_part(r, gens_a) for r in span_rels]
-    span = [r for r in span if not r.is_zero]
-    cands = [active_part(h, gens_a) for h in candidates]
-    if not span:
-        return all(c.is_zero for c in cands)
-    basis = complete_to_standard_basis(pm.order, span)
-    undecided = []
-    for h in cands:
-        if h.is_zero:
-            continue
-        res = hironaka_divide(pm.order, basis.elements, h)
-        if not active_part(res.remainder, gens_a).is_zero:
-            undecided.append(h)
-    return all(_spanned_linear(span_rels, gens_a, h) for h in undecided)
-
-
-def _spanned_linear(span_rels, gens_a, h) -> bool:
-    """Exact test: h = sum of series multiples of the span relations, as an
-    identity on the non-inert coordinates of degree <= trunc."""
-    n, trunc, q = h.n, h.trunc, h.p
+    n, trunc = gens_a[0].n, gens_a[0].trunc
+    multiples = [(r, beta) for r in span_rels for beta in iter_alphas(n, trunc)]
+    rows = _multiplier_rows(multiples + [(h, (0,) * n) for h in candidates], trunc)
     active = _active_test(gens_a, trunc)
-    alphas = list(iter_alphas(n, trunc))
-    built = _multiplier_rows([(g, beta) for g in span_rels for beta in alphas], trunc)
-    # every active row counts: a zero row with a nonzero h term is unsolvable
-    keys = [(alpha, comp) for comp in range(1, q + 1) for alpha in alphas
-            if active(sum(alpha), comp)]
-    return solvable([built.get(k, {}) for k in keys],
-                    [h.terms.get(k, QQ.zero) for k in keys])
+    _, pivots = rref(row for (alpha, comp), row in rows.items()
+                     if active(sum(alpha), comp))
+    return not pivots or pivots[-1] < len(multiples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
-Small helper used for kernel computations in the specialization checks.
-A matrix is a list of rows, each a {column: Fraction} dict that holds no
-zeros.  Elimination runs on integer rows, each kept free of a common
+Used by the specialization checks for the oracle relations (a kernel) and
+for deciding whether those relations are spanned (the pivots of one rref).
+A matrix is given by its rows, each a {column: Fraction} dict that holds
+no zeros.  Elimination runs on integer rows, each kept free of a common
 factor, and touches only their nonzero entries.
 """
 
@@ -66,11 +67,3 @@ def kernel_basis(rows, ncols: int) -> list[dict]:
             if k != pc:
                 basis[k][pc] = -v
     return [dict(sorted(vec.items())) for vec in basis.values()]
-
-
-def solvable(rows, rhs) -> bool:
-    """Whether the system rows * x = rhs has a solution."""
-    rows = list(rows)
-    extra = 1 + max((c for row in rows for c in row), default=-1)
-    _, pivots = rref({**row, extra: b} if b else row for row, b in zip(rows, rhs))
-    return not pivots or pivots[-1] != extra

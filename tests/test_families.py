@@ -20,7 +20,7 @@ from formaldiv import (
 )
 from formaldiv import io
 from formaldiv.errors import PreconditionError, VanishingDenominatorError
-from formaldiv.families import _spanned_linear
+from formaldiv.families import _all_spanned
 
 import catalog
 from helpers import ser, unit_order
@@ -256,13 +256,13 @@ def test_relations_check_single_generator_trivial():
     assert len(report.presentation.relations) == 0
 
 
-def test_spanned_linear_counts_coordinates_no_multiple_reaches():
+def test_all_spanned_counts_coordinates_no_multiple_reaches():
     # (1, -1) relates (x, x) but is no multiple of (x, -x): its constant
     # terms sit on rows that every x^beta * (x, -x) leaves zero
     gens = [ser(1, 1, 4, {(1,): 1}), ser(1, 1, 4, {(1,): 1})]
     span = [ser(1, 2, 4, {((1,), 1): 1, ((1,), 2): -1})]
-    assert not _spanned_linear(span, gens, ser(1, 2, 4, {((0,), 1): 1, ((0,), 2): -1}))
-    assert _spanned_linear(span, gens, ser(1, 2, 4, {((2,), 1): 3, ((2,), 2): -3}))
+    assert not _all_spanned(span, gens, [ser(1, 2, 4, {((0,), 1): 1, ((0,), 2): -1})])
+    assert _all_spanned(span, gens, [ser(1, 2, 4, {((2,), 1): 3, ((2,), 2): -3})])
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

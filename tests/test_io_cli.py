@@ -285,6 +285,32 @@ def test_cli_relations_check(tmp_path):
     assert statuses[("0",)] == "skipped"
 
 
+@pytest.mark.parametrize("argv", [
+    # relations-check checks no refined point, so it takes no --refine
+    ["relations-check", "--grid", "xi1:-2..2"],
+    ["semicont-scan", "--seed", "7", "--count", "5"],
+    ["semicont-scan", "--points", fx("points_basic.json")],
+])
+def test_cli_refine_only_scans_a_grid(capsys, argv):
+    command, *source = argv
+    assert run(command, "--module", fx("family_pivot.json"), *source, "--refine") == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["semicont-scan", "relations-check"])
+@pytest.mark.parametrize("sources", [
+    ("--points", "--grid"), ("--points", "--seed"), ("--grid", "--seed"),
+])
+def test_cli_point_sources_are_exclusive(capsys, command, sources):
+    values = {"--points": fx("points_basic.json"), "--grid": "xi1:-2..2",
+              "--seed": "7"}
+    argv = [command, "--module", fx("family_pivot.json")]
+    for flag in sources:
+        argv += [flag, values[flag]]
+    assert run(*argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_text_format(tmp_path, capsys):
     code = run(
         "diagram", "--module", fx("module_unit.json"), "--format", "text"

@@ -1,7 +1,8 @@
 """Property tests: the division contract and the order keys, on random QQ
 series under random positive weights (fractional ones included), the
 rational coefficient literals a module file may hold, and the sparse exact
-linear algebra against the dense oracle."""
+linear algebra and the relations-check spanning decision against the dense
+oracle."""
 
 import ast
 from datetime import timedelta
@@ -10,7 +11,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from formaldiv import (
     QQ,
@@ -24,9 +25,11 @@ from formaldiv import (
     parse_coefficient,
 )
 from formaldiv.division import residual
-from formaldiv.errors import ExpressionError, SchemaError
+from formaldiv.errors import DegenerateFamilyError, ExpressionError, SchemaError
 from formaldiv.exponents import SyzygyOrder, add_alpha
-from formaldiv.linalg import kernel_basis, rref, solvable
+from formaldiv.families import _all_spanned, oracle_relations
+from formaldiv.linalg import kernel_basis, rref
+from formaldiv.syzygies import relations_of_generators
 
 import oracle
 
@@ -245,9 +248,10 @@ def test_kernel_basis_is_annihilated_and_counts_the_nullity(system):
 @PROPS
 @given(dense_systems())
 @_with_examples
-def test_solvable_agrees_with_the_oracle(system):
-    matrix, _, rhs = system
-    assert solvable(_sparse(matrix), rhs) == oracle.linear_solvable(matrix, rhs)
+def test_rref_pivots_in_the_rhs_column_exactly_when_unsolvable(system):
+    matrix, ncols, rhs = system
+    _, pivots = rref(_sparse([row + [b] for row, b in zip(matrix, rhs)]))
+    assert (ncols in pivots) != oracle.linear_solvable(matrix, rhs)
 
 
 def test_oracle_does_not_import_the_engine_linear_algebra():
@@ -260,3 +264,41 @@ def test_oracle_does_not_import_the_engine_linear_algebra():
             imported.add(node.module or "")
             imported |= {f"{node.module}.{alias.name}" for alias in node.names}
     assert not {name for name in imported if "linalg" in name}
+
+
+# -- relations-check spanning ----------------------------------------------------
+
+@st.composite
+def spanning_instances(draw):
+    """(generators, emitted relations, candidates) at n = 2: two or three
+    generators whose lowest degrees may differ, so slots go inert at
+    different degrees; the candidates are the oracle relations, unit
+    monomial vectors (often outside the span), or both."""
+    trunc = draw(st.integers(3, 5))
+    order = StandardOrder(PositiveLinearForm(tuple(draw(weights_st) for _ in range(2))))
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        shift = draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]))
+        g = draw(series(2, 1, trunc, 4)).mul_monomial(QQ.one, shift)
+        assume(not g.is_zero)
+        gens.append(g)
+    try:
+        rels = list(relations_of_generators(order, gens).relations)
+    except DegenerateFamilyError:
+        assume(False)
+    q = len(gens)
+    form = draw(st.sampled_from(["oracle", "monomials", "mixed"]))
+    hs = oracle_relations(gens) if form != "monomials" else []
+    if form != "oracle":
+        hs += [TruncatedSeries.monomial(e, QQ.one, 2, q, trunc, QQ)
+               for e in draw(st.lists(exponents(2, q, trunc), min_size=1, max_size=3))]
+    return gens, rels, hs
+
+
+@PROPS
+@given(spanning_instances())
+def test_all_spanned_agrees_with_the_oracle(inst):
+    gens, rels, hs = inst
+    assert _all_spanned(rels, gens, hs) == all(
+        oracle.spanned_modulo_inert(gens, rels, h) for h in hs
+    )
