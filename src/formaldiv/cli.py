@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 parse/schema error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -195,13 +196,17 @@ def _point_source(args, pm, hashes):
 def _dispatch(args):
     hashes = {}
     mod = _load_module(args.module, hashes, "module")
-    order = mod.order
-    command = args.command
+    return _payload(args, mod, hashes), hashes
+
+
+def _payload(args, mod, hashes):
+    """The result of args.command; input digests go into hashes."""
+    order, command = mod.order, args.command
 
     if command == "divide":
         gens, dividend = _load_dividend(args, mod, hashes)
         res = hironaka_divide(order, gens, dividend)
-        payload = {
+        return {
             "truncation_degree": mod.trunc,
             "quotients": _named_series_payload(
                 [f"Q{i + 1}" for i in range(len(gens))], res.quotients, order
@@ -209,30 +214,27 @@ def _dispatch(args):
             "remainder": io.series_to_json(res.remainder, order),
             "denominators_introduced": [io.coeff_to_json(p) for p in res.new_denominators],
         }
-        return payload, hashes
 
     if command == "diagram":
         if mod.is_parametric:
             from .families import generic_diagram
             diag, certs = generic_diagram(mod.param_module())
-            payload = {
+            return {
                 "truncation_degree": mod.trunc,
                 "vertices": io.diagram_to_json(diag),
                 "certificates": io.certificates_to_json(certs),
             }
-        else:
-            basis = complete_to_standard_basis(order, mod.generators())
-            payload = {
-                "truncation_degree": mod.trunc,
-                "vertices": io.diagram_to_json(basis.diagram),
-            }
-        return payload, hashes
+        basis = complete_to_standard_basis(order, mod.generators())
+        return {
+            "truncation_degree": mod.trunc,
+            "vertices": io.diagram_to_json(basis.diagram),
+        }
 
     if command == "std-basis":
         basis = complete_to_standard_basis(order, _prepare(mod))
         if args.canonical:
             basis = canonicalize(basis)
-        payload = {
+        return {
             "truncation_degree": mod.trunc,
             "canonical": basis.canonical,
             "vertices": io.diagram_to_json(basis.diagram),
@@ -242,13 +244,12 @@ def _dispatch(args):
             ),
             "denominators": [io.coeff_to_json(p) for p in basis.new_denominators],
         }
-        return payload, hashes
 
     if command == "membership":
         gens, g = _load_dividend(args, mod, hashes)
         basis = complete_to_standard_basis(order, gens)
         member, res = is_member(order, basis, g)
-        payload = {
+        return {
             "truncation_degree": mod.trunc,
             "member": member,
             "witness": {
@@ -259,13 +260,12 @@ def _dispatch(args):
                 "remainder": io.series_to_json(res.remainder, order),
             },
         }
-        return payload, hashes
 
     if command == "syzygy":
         from .syzygies import standard_relations
         basis = complete_to_standard_basis(order, _prepare(mod))
         syz = standard_relations(basis)
-        payload = {
+        return {
             "truncation_degree": mod.trunc,
             "basis_vertices": io.diagram_to_json(basis.diagram),
             "syzygy_vertices": io.diagram_to_json(syz.diagram),
@@ -273,16 +273,14 @@ def _dispatch(args):
                 io.series_to_json(r, syz.order) for r in syz.relations
             ],
         }
-        return payload, hashes
 
     if command == "relations":
         from .syzygies import relations_of_generators
         pres = relations_of_generators(order, _prepare(mod))
-        payload = {
+        return {
             "truncation_degree": mod.trunc,
             **io.presentation_to_json(pres, order),
         }
-        return payload, hashes
 
     if command == "compare-diagrams":
         other = _load_module(args.other, hashes, "other")
@@ -294,12 +292,11 @@ def _dispatch(args):
             return complete_to_standard_basis(m.order, m.generators()).diagram
 
         d1, d2 = diagram_of(mod), diagram_of(other)
-        payload = {
+        return {
             "left_vertices": io.diagram_to_json(d1),
             "right_vertices": io.diagram_to_json(d2),
             "comparison": io.ordering_to_str(compare_diagrams(d1, d2)),
         }
-        return payload, hashes
 
     if command == "specialize":
         from .families import specialize
@@ -307,29 +304,24 @@ def _dispatch(args):
         point = _parse_point(args.at, len(pm.param_names))
         hashes["point"] = io.hash_bytes(args.at.encode())
         gens_a = specialize(pm, point)
-        payload = {
+        return {
             "point": io.point_to_json(point),
             "series": _named_series_payload(mod.series_names, gens_a, order),
         }
-        return payload, hashes
 
     if command == "semicont-scan":
         from .families import semicontinuity_scan
         pm = mod.param_module()
         points, refine, source = _point_source(args, pm, hashes)
         report = semicontinuity_scan(pm, points, refine)
-        payload = {"points_source": source}
-        payload.update(io.semicontinuity_report_to_json(report))
-        return payload, hashes
+        return {"points_source": source, **io.semicontinuity_report_to_json(report)}
 
     if command == "relations-check":
         from .families import specialized_relations_check
         pm = mod.param_module()
         points, _, source = _point_source(args, pm, hashes)
         report = specialized_relations_check(pm, points)
-        payload = {"points_source": source}
-        payload.update(io.relations_check_report_to_json(report))
-        return payload, hashes
+        return {"points_source": source, **io.relations_check_report_to_json(report)}
 
     raise SchemaError(f"unknown command {command!r}")
 
@@ -366,7 +358,13 @@ def run_command(argv=None) -> int:
 
 
 def main():
-    sys.exit(run_command())
+    code = run_command()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # e.g. a closed pipe: finalize as usual
+        sys.exit(code)
+    os._exit(code)  # the result is written: skip interpreter finalization
 
 
 if __name__ == "__main__":

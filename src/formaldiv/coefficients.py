@@ -70,9 +70,6 @@ class ParamPolynomial:
     # -- constructors -------------------------------------------------
     @classmethod
     def constant(cls, names, value) -> "ParamPolynomial":
-        value = Fraction(value)
-        if not value:
-            return cls(names)
         return cls(names, {(0,) * len(names): value})
 
     @classmethod
@@ -216,6 +213,7 @@ class DenominatorSet:
         self.generators: list[ParamPolynomial] = []
         self._factor_memo: dict = {}
         self._power_memo: dict = {}
+        self._value_memo: dict = {}  # (index, point) -> generator value
         for g in seed:
             if not g:
                 raise PreconditionError("zero polynomial in denominator set")
@@ -342,11 +340,14 @@ class LocalizedFraction:
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         den = Fraction(1)
+        memo, point = self.dset._value_memo, tuple(point)
         for i, k in self.powers.items():
-            v = self.dset.generators[i].evaluate(point)
+            v = memo.get((i, point))
+            if v is None:  # each generator is evaluated once per point
+                v = memo[i, point] = self.dset.generators[i].evaluate(point)
             if not v:
                 raise VanishingDenominatorError(
-                    f"denominator {self.dset.generators[i]} vanishes at {tuple(point)}"
+                    f"denominator {self.dset.generators[i]} vanishes at {point}"
                 )
             den *= v ** k
         return self.num.evaluate(point) / den
@@ -366,7 +367,16 @@ class LocalizedFraction:
 Coefficient = Union[Fraction, ParamPolynomial, LocalizedFraction]
 
 
-class PolynomialRing:
+class _ValueWork:
+    # the division kernel's work form: the values, with their own operators
+    _to_work = _from_work = staticmethod(lambda c: c)
+    _sub_mul = staticmethod(lambda w, q, t: -(q * t) if w is None else w - q * t)
+
+    def _divider(self, s):
+        return lambda a: self.divide_by_unit(a, s)
+
+
+class PolynomialRing(_ValueWork):
     """Polynomials in named parameters over the rationals."""
 
     def __init__(self, names: Sequence[str]):
@@ -405,7 +415,7 @@ class PolynomialRing:
         return f"QQ[{', '.join(self.names)}]"
 
 
-class LocalizedRing:
+class LocalizedRing(_ValueWork):
     """The polynomial ring localized at a growing denominator set."""
 
     def __init__(self, base: PolynomialRing, dset: DenominatorSet):
@@ -621,9 +631,7 @@ def parse_coefficient(text: str, names: Sequence[str] = ()) -> Coefficient:
 
 def format_coefficient(c: Coefficient) -> str:
     """Render a coefficient so that parse_coefficient reads it back."""
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, LocalizedFraction):
+    if isinstance(c, (Fraction, LocalizedFraction)):
         return str(c)
     if not c:
         return "0"

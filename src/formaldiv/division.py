@@ -145,14 +145,17 @@ def hironaka_divide(
     for it in inits:
         _ensure_unit(ring, it.coefficient, new_dens)
 
+    # the ring's work form (values in, fused w - q*t, division, values out)
+    to_work, from_work, sub_mul = ring._to_work, ring._from_work, ring._sub_mul
+    dividers = [ring._divider(it.coefficient) for it in inits]
     tails = [
-        {e: c for e, c in d.terms.items() if e != it.exponent}
+        [(e, e.degree, to_work(c)) for e, c in d.terms.items() if e != it.exponent]
         for d, it in zip(divisors, inits)
     ]
 
     quotients = [dict() for _ in divisors]
     remainder: dict[ModExponent, object] = {}
-    working = dict(dividend.terms)
+    working = {e: to_work(c) for e, c in dividend.terms.items()}
     key = order.key
     heap = [(key(e), e) for e in working]
     heapify(heap)
@@ -164,24 +167,24 @@ def hironaka_divide(
             continue
         i = partition.cell_of(e)
         if i is None:
-            remainder[e] = c
+            remainder[e] = from_work(c)
             continue
         beta = sub_alpha(e.alpha, inits[i].exponent.alpha)
-        qc = ring.divide_by_unit(c, inits[i].coefficient)
-        quotients[i][beta] = qc
+        qc = quotients[i][beta] = dividers[i](c)
         room = trunc - sum(beta)
-        for te, tc in tails[i].items():
-            if te.degree > room:
+        for te, degree, tc in tails[i]:
+            if degree > room:
                 continue
             t = te.shift(beta)
-            if t not in working:
+            w = working.get(t)
+            if w is None:
                 heappush(heap, (key(t), t))
-            working[t] = working.get(t, ring.zero) - qc * tc
+            working[t] = sub_mul(w, qc, tc)
 
     q_series = tuple(
         TruncatedSeries(
             n, 1, trunc, ring,
-            {ModExponent(beta, 1): c for beta, c in q.items()},
+            {ModExponent(beta, 1): from_work(c) for beta, c in q.items()},
         )
         for q in quotients
     )

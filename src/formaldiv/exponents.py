@@ -19,14 +19,14 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import AmbientMismatchError, PreconditionError
 
 
 def add_alpha(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def sub_alpha(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -69,7 +69,8 @@ class ModExponent(_ModExponentFields):
         return sum(self.alpha)
 
     def shift(self, beta: Sequence[int]) -> "ModExponent":
-        return ModExponent(add_alpha(self.alpha, beta), self.comp)
+        # a valid exponent shifted by a multi-index is valid: not re-checked
+        return tuple.__new__(ModExponent, (add_alpha(self.alpha, beta), self.comp))
 
     def divides(self, other: "ModExponent") -> bool:
         """True iff other lies in self + N^n (same slot, componentwise <=)."""
@@ -287,11 +288,7 @@ def diagram_from_exponents(
     set is the union of e + N^n over all inputs.
     """
     exps = list(dict.fromkeys(exps))
-    minimal = []
-    for e in exps:
-        if any(o is not e and o.divides(e) and o != e for o in exps):
-            continue
-        minimal.append(e)
+    minimal = [e for e in exps if not any(o != e and o.divides(e) for o in exps)]
     return Diagram(n, p, minimal, order)
 
 
@@ -350,7 +347,8 @@ class DeltaPartition:
 
     def box_contains(self, i: int, beta: Sequence[int]) -> bool:
         """True iff exps[i] + beta still belongs to cell i."""
-        return self.cell_of(self.exps[i].shift(beta)) == i
+        a = self.exps[i]
+        return self.cell_of(ModExponent(add_alpha(a.alpha, beta), a.comp)) == i
 
     def box_complement_generators(self, i: int) -> list[tuple[int, ...]]:
         """Minimal multi-indices whose translates cover everything cell i loses.

@@ -123,6 +123,7 @@ class TruncatedSeries:
         """Multiply by coeff * x^beta, discarding terms past the horizon."""
         ring = self.ring
         out = {}
+        beta = ModExponent(tuple(beta)).alpha  # validated once: shift does not
         if not coeff:
             return TruncatedSeries.zero(self.n, self.p, self.trunc, ring)
         for e, c in self.terms.items():

@@ -223,6 +223,8 @@ def test_delta_partition_two_cells():
             assert cell is None
     assert part.box_contains(0, (5, 5))
     assert part.box_contains(1, (1, 3)) and not part.box_contains(1, (2, 0))
+    with pytest.raises(PreconditionError):  # public, so it validates; shift does not
+        part.box_contains(0, (-3, 0))
 
 
 def test_delta_partition_unit_divisor():

@@ -1,6 +1,9 @@
+import itertools
 import json
 import os
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from formaldiv import cli, io
 from formaldiv.errors import InvariantError, SchemaError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def fx(name):
@@ -417,3 +421,63 @@ def test_output_file_mode_follows_umask(tmp_path, umask):
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
     assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+# -- the CLI as a process ---------------------------------------------------------------
+#
+# main() ends the process with os._exit once the result is flushed, so these
+# run `python -m formaldiv.cli` and compare it with run_command in-process.
+
+def cli_process(*argv, stdout=subprocess.PIPE):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    return subprocess.Popen([sys.executable, "-m", "formaldiv.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv", [
+    ("divide", "--module", fx("module_squares.json"), "--dividend", fx("dividend_mixed.json")),
+    ("relations-check", "--module", fx("family_relations.json"), "--grid", "xi1:-2..2"),
+])
+def test_cli_process_prints_what_run_command_writes(tmp_path, argv):
+    out, err = cli_process(*argv).communicate()
+    assert err == b""
+    path = tmp_path / "out.json"
+    assert run(*argv, "--out", str(path)) == 0
+    assert out == path.read_bytes()
+
+
+@pytest.mark.parametrize("code, argv", [
+    (2, ("diagram", "--module", fx("bad_json.json"))),
+    (2, ("divide", "--module", fx("module_squares.json"), "--dividend", fx("dividend_param.json"))),
+    (3, ("syzygy", "--module", fx("module_zero_series.json"))),
+])
+def test_cli_process_exit_codes_keep_their_stderr(capsys, code, argv):
+    proc = cli_process(*argv)
+    out, err = proc.communicate()
+    assert run(*argv) == code
+    assert (proc.returncode, out, err.decode()) == (code, b"", capsys.readouterr().err)
+    assert err.startswith(b"error: " if code == 2 else b"precondition violated: ")
+
+
+def test_cli_process_with_stdout_closed_fails_as_a_broken_pipe(tmp_path):
+    # a 1001-term quotient by 1 - x1, far more than a pipe holds; the reader
+    # is gone before the result is written, so the write fails with EPIPE,
+    # and that exception takes the normal exit path (status 1, traceback)
+    n, trunc = 4, 10
+    exps = [list(e) for e in itertools.product(range(trunc + 1), repeat=n)
+            if sum(e) <= trunc]
+
+    def module(terms):
+        return json.dumps({"n": n, "p": 1, "D": trunc, "series": [{"terms": [
+            {"component": 1, "exponent": e, "coeff": c} for e, c in terms]}]})
+    (tmp_path / "m.json").write_text(module([([0, 0, 0, 0], "1"), ([1, 0, 0, 0], "-1")]))
+    (tmp_path / "f.json").write_text(module([(e, "1/3") for e in exps]))
+    read, write = os.pipe()
+    proc = cli_process("divide", "--module", str(tmp_path / "m.json"),
+                       "--dividend", str(tmp_path / "f.json"), stdout=write)
+    os.close(write)
+    os.close(read)
+    _, err = proc.communicate()
+    assert proc.returncode == 1
+    assert err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")

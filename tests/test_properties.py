@@ -8,6 +8,7 @@ import ast
 from datetime import timedelta
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from formaldiv import (
     QQ,
+    DenominatorSet,
+    LocalizedRing,
     ModExponent,
+    ParamPolynomial,
+    PolynomialRing,
     PositiveLinearForm,
     Ordering,
     StandardOrder,
@@ -112,6 +117,88 @@ def test_division_is_additive(inst):
     assert rs.remainder == rf.remainder + rg.remainder
     for qs, qf, qg in zip(rs.quotients, rf.quotients, rg.quotients):
         assert qs == qf + qg
+
+
+# Over QQ the kernel works on reduced (num, den) int pairs and builds a
+# Fraction only for each quotient and remainder term.
+big_coeff_st = st.builds(Fraction, st.integers(-10**20, 10**20).filter(bool),
+                         st.integers(1, 10**20))
+
+
+@st.composite
+def big_division_instances(draw):
+    """Coefficients up to 10**20 over fractional weights; every divisor's
+    initial coefficient is negative."""
+    n, p, trunc, order = draw(ambients())
+    divisors = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(exponents(n, p, trunc), big_coeff_st,
+                                     min_size=1, max_size=5))
+        d = TruncatedSeries(n, p, trunc, QQ, terms)
+        assume(not d.is_zero)
+        init = d.initial(order)
+        terms[init.exponent] = -abs(init.coefficient)
+        divisors.append(TruncatedSeries(n, p, trunc, QQ, terms))
+    f = TruncatedSeries(n, p, trunc, QQ, draw(st.dictionaries(
+        exponents(n, p, trunc), big_coeff_st, max_size=10)))
+    return order, divisors, f
+
+
+@PROPS
+@given(big_division_instances())
+def test_rational_division_builds_reduced_fractions(inst):
+    order, divisors, f = inst
+    res = hironaka_divide(order, divisors, f)
+    assert residual(res, divisors, f).is_zero
+    assert all(res.partition.cell_of(e) is None for e in res.remainder.terms)
+    for s in (*res.quotients, res.remainder):
+        for c in s.terms.values():
+            assert type(c) is Fraction
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+param_coeff_st = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+    lambda cs: ParamPolynomial(("t",), {(k,): c for k, c in enumerate(cs)}))
+
+
+@st.composite
+def family_division_instances(draw):
+    """Divisors and a dividend with coefficients in QQ[t], lifted to the
+    ring localized at the divisors' initial coefficients."""
+    n, p, trunc = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    order = StandardOrder(PositiveLinearForm(tuple(draw(weights_st) for _ in range(n))))
+    ring = LocalizedRing(PolynomialRing(("t",)), DenominatorSet(("t",)))
+
+    def draw_series(min_size, max_size):
+        terms = draw(st.dictionaries(exponents(n, p, trunc), param_coeff_st,
+                                     min_size=min_size, max_size=max_size))
+        return TruncatedSeries(n, p, trunc, ring,
+                               {e: ring.from_poly(c) for e, c in terms.items()})
+
+    divisors = [draw_series(1, 4) for _ in range(draw(st.integers(1, 2)))]
+    assume(not any(d.is_zero for d in divisors))
+    return order, ring, divisors, draw_series(0, 6)
+
+
+@PROPS
+@given(family_division_instances())
+def test_specialization_commutes_with_division(inst):
+    """At a point where every certificate (each initial coefficient and each
+    registered denominator) is nonzero, dividing and then specializing gives
+    the division of the specialized series."""
+    order, ring, divisors, f = inst
+    res = hironaka_divide(order, divisors, f)
+    certs = [d.initial(order).coefficient.num for d in divisors] + ring.dset.generators
+    certified = [pt for pt in ((Fraction(k),) for k in range(-4, 5))
+                 if all(c.evaluate(pt) for c in certs)]
+    assert certified  # each certificate has at most two roots
+    for pt in certified:
+        def at(s):
+            return s.map_coefficients(lambda c: ring.evaluate(c, pt), QQ)
+
+        spec = hironaka_divide(order, [at(d) for d in divisors], at(f))
+        assert spec.remainder == at(res.remainder)
+        assert list(spec.quotients) == [at(q) for q in res.quotients]
 
 
 def _sign(a, b):

@@ -81,6 +81,12 @@ def test_initial_data_second_component():
     assert f.initial(order).exponent == ModExponent((1,), 2)
 
 
+def test_mul_monomial_refuses_a_negative_multi_index():
+    # shift does not re-check exponents, so mul_monomial checks beta once
+    with pytest.raises(PreconditionError):
+        ser(2, 1, 4, {(3, 1): 1, (2, 0): 1}).mul_monomial(Fraction(1), (-1, 0))
+
+
 def test_initial_data_zero_series():
     with pytest.raises(PreconditionError):
         ser(1, 1, 3, {}).initial(unit_order(1))
