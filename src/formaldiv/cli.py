@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import io
 from .division import canonicalize, complete_to_standard_basis, hironaka_divide, is_member
@@ -54,9 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
             source.add_argument("--points", help="points file (JSON)")
             source.add_argument("--grid", help="grid spec, e.g. 'xi1:-2..2'")
             source.add_argument("--seed", type=int, help="seed for random sample points")
-            p.add_argument("--count", type=int, default=100,
+            p.add_argument("--count", type=int,
                            help="number of random sample points (with --seed)")
-            p.set_defaults(refine=False)
         if canonical:
             p.add_argument("--canonical", action="store_true",
                            help="emit the canonical basis")
@@ -79,13 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="also scan the half-step refinement of the grid")
     add("relations-check", "verify specialized relations generate", points=True)
     return parser
-
-
-def _named_series_payload(names, series_list, order):
-    return [
-        {"name": name, "terms": io.series_to_json(s, order)}
-        for name, s in zip(names, series_list)
-    ]
 
 
 def _prepare(mod):
@@ -124,73 +115,18 @@ def _load_dividend(args, mod, hashes):
     return gens, dividend
 
 
-def _parse_point(text, arity):
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != arity:
-        raise SchemaError(f"--at expects {arity} coordinates, got {len(parts)}")
-    try:
-        return tuple(Fraction(s) for s in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"--at: bad rational: {exc}") from None
+def _diagram(mod):
+    """The module's diagram and, for a parametric module, the certificates of
+    its generic diagram over the localized ring (None over the rationals)."""
+    if mod.is_parametric:
+        from .families import generic_diagram
+        return generic_diagram(mod.param_module())
+    return complete_to_standard_basis(mod.order, mod.generators()).diagram, None
 
 
-def _parse_grid(spec, param_names):
-    entries = {}
-    for part in spec.split(","):
-        name, sep, rng = part.partition(":")
-        if not sep:
-            raise SchemaError(f"--grid: expected 'name:lo..hi', got {part!r}")
-        lo, sep2, hi = rng.partition("..")
-        if not sep2:
-            raise SchemaError(f"--grid: expected 'lo..hi' in {part!r}")
-        name = name.strip()
-        if name in entries:
-            raise SchemaError(f"--grid: repeated parameter {name!r}")
-        try:
-            entries[name] = (int(lo), int(hi))
-        except ValueError as exc:
-            raise SchemaError(f"--grid: {exc}") from None
-    missing = [nm for nm in param_names if nm not in entries]
-    extra = [nm for nm in entries if nm not in param_names]
-    if missing or extra:
-        raise SchemaError(
-            f"--grid must cover the parameters exactly; missing {missing}, "
-            f"unknown {extra}"
-        )
-    return [entries[nm] for nm in param_names]
-
-
-def _point_source(args, pm, hashes):
-    """Points (and optional refinement points) from file, grid, or seed.
-
-    Returns (points, refinement points or None, source descriptor); the
-    descriptor is echoed in the payload so sampling is reproducible.  An
-    empty point set is a precondition violation: it would pass vacuously.
-    """
-    from .families import grid_points, sample_points
-    arity = len(pm.param_names)
-    if args.refine and not args.grid:
-        raise SchemaError("--refine needs --grid")
-    refine = None
-    if args.points:
-        hashes["points"], data = io.load_json(args.points)
-        source = {"kind": "file", "path": args.points}
-        points = io.load_points_data(data, arity, source=str(args.points))
-    elif args.grid:
-        hashes["points"] = io.hash_bytes(f"grid:{args.grid}".encode())
-        ranges = _parse_grid(args.grid, pm.param_names)
-        points = grid_points(ranges, step=Fraction(1))
-        refine = grid_points(ranges, step=Fraction(1, 2)) if args.refine else None
-        source = {"kind": "grid", "spec": args.grid, "refined": bool(args.refine)}
-    elif args.seed is not None:
-        hashes["points"] = io.hash_bytes(f"seed:{args.seed}:count:{args.count}".encode())
-        source = {"kind": "seed", "seed": args.seed, "count": args.count}
-        points = sample_points(arity, args.count, args.seed)
-    else:
-        raise SchemaError("one of --points, --grid, or --seed is required")
-    if not points:
-        raise PreconditionError("empty point set")
-    return points, refine, source
+def _point_options(args):
+    """The point-source options, as the keywords the families payloads take."""
+    return {key: getattr(args, key) for key in ("points", "grid", "seed", "count")}
 
 
 def _dispatch(args):
@@ -208,7 +144,7 @@ def _payload(args, mod, hashes):
         res = hironaka_divide(order, gens, dividend)
         return {
             "truncation_degree": mod.trunc,
-            "quotients": _named_series_payload(
+            "quotients": io.named_series_to_json(
                 [f"Q{i + 1}" for i in range(len(gens))], res.quotients, order
             ),
             "remainder": io.series_to_json(res.remainder, order),
@@ -216,19 +152,12 @@ def _payload(args, mod, hashes):
         }
 
     if command == "diagram":
-        if mod.is_parametric:
-            from .families import generic_diagram
-            diag, certs = generic_diagram(mod.param_module())
-            return {
-                "truncation_degree": mod.trunc,
-                "vertices": io.diagram_to_json(diag),
-                "certificates": io.certificates_to_json(certs),
-            }
-        basis = complete_to_standard_basis(order, mod.generators())
-        return {
-            "truncation_degree": mod.trunc,
-            "vertices": io.diagram_to_json(basis.diagram),
-        }
+        diag, certs = _diagram(mod)
+        payload = {"truncation_degree": mod.trunc, "vertices": io.diagram_to_json(diag)}
+        if certs is not None:
+            from .families import certificates_to_json
+            payload["certificates"] = certificates_to_json(certs)
+        return payload
 
     if command == "std-basis":
         basis = complete_to_standard_basis(order, _prepare(mod))
@@ -238,7 +167,7 @@ def _payload(args, mod, hashes):
             "truncation_degree": mod.trunc,
             "canonical": basis.canonical,
             "vertices": io.diagram_to_json(basis.diagram),
-            "elements": _named_series_payload(
+            "elements": io.named_series_to_json(
                 [f"Psi{i + 1}" for i in range(len(basis.elements))],
                 basis.elements, order,
             ),
@@ -253,7 +182,7 @@ def _payload(args, mod, hashes):
             "truncation_degree": mod.trunc,
             "member": member,
             "witness": {
-                "quotients": _named_series_payload(
+                "quotients": io.named_series_to_json(
                     [f"Q{i + 1}" for i in range(len(basis.elements))],
                     res.quotients, order,
                 ),
@@ -262,36 +191,16 @@ def _payload(args, mod, hashes):
         }
 
     if command == "syzygy":
-        from .syzygies import standard_relations
-        basis = complete_to_standard_basis(order, _prepare(mod))
-        syz = standard_relations(basis)
-        return {
-            "truncation_degree": mod.trunc,
-            "basis_vertices": io.diagram_to_json(basis.diagram),
-            "syzygy_vertices": io.diagram_to_json(syz.diagram),
-            "relations": [
-                io.series_to_json(r, syz.order) for r in syz.relations
-            ],
-        }
+        from .syzygies import syzygy_payload
+        return syzygy_payload(order, _prepare(mod))
 
     if command == "relations":
-        from .syzygies import relations_of_generators
-        pres = relations_of_generators(order, _prepare(mod))
-        return {
-            "truncation_degree": mod.trunc,
-            **io.presentation_to_json(pres, order),
-        }
+        from .syzygies import relations_payload
+        return relations_payload(order, _prepare(mod))
 
     if command == "compare-diagrams":
         other = _load_module(args.other, hashes, "other")
-
-        def diagram_of(m):
-            if m.is_parametric:
-                from .families import generic_diagram
-                return generic_diagram(m.param_module())[0]
-            return complete_to_standard_basis(m.order, m.generators()).diagram
-
-        d1, d2 = diagram_of(mod), diagram_of(other)
+        d1, d2 = _diagram(mod)[0], _diagram(other)[0]
         return {
             "left_vertices": io.diagram_to_json(d1),
             "right_vertices": io.diagram_to_json(d2),
@@ -299,29 +208,17 @@ def _payload(args, mod, hashes):
         }
 
     if command == "specialize":
-        from .families import specialize
-        pm = mod.param_module()
-        point = _parse_point(args.at, len(pm.param_names))
-        hashes["point"] = io.hash_bytes(args.at.encode())
-        gens_a = specialize(pm, point)
-        return {
-            "point": io.point_to_json(point),
-            "series": _named_series_payload(mod.series_names, gens_a, order),
-        }
+        from .families import specialize_payload
+        return specialize_payload(mod.param_module(), args.at, mod.series_names, hashes)
 
     if command == "semicont-scan":
-        from .families import semicontinuity_scan
-        pm = mod.param_module()
-        points, refine, source = _point_source(args, pm, hashes)
-        report = semicontinuity_scan(pm, points, refine)
-        return {"points_source": source, **io.semicontinuity_report_to_json(report)}
+        from .families import scan_payload
+        return scan_payload(mod.param_module(), hashes, refine=args.refine,
+                            **_point_options(args))
 
     if command == "relations-check":
-        from .families import specialized_relations_check
-        pm = mod.param_module()
-        points, _, source = _point_source(args, pm, hashes)
-        report = specialized_relations_check(pm, points)
-        return {"points_source": source, **io.relations_check_report_to_json(report)}
+        from .families import relations_check_payload
+        return relations_check_payload(mod.param_module(), hashes, **_point_options(args))
 
     raise SchemaError(f"unknown command {command!r}")
 

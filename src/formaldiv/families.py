@@ -8,6 +8,10 @@ later in the diagram order, and equality is certified by the nonvanishing of
 an explicit list of polynomials (the coefficients inverted along the way).
 No parameter-space geometry is computed; sampling plus certificates stand in
 for the stratification, and the reports say only what was sampled.
+
+The point sources and JSON results of the family commands live here too, so
+a call over the rationals loads none of it; `syzygies` and `linalg` are
+imported by the functions that run them.
 """
 
 from __future__ import annotations
@@ -16,14 +20,12 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
+from . import io
 from .coefficients import DenominatorSet, LocalizedRing, ParamPolynomial, PolynomialRing
 from .division import StandardBasis, complete_to_standard_basis
-from .errors import (
-    PreconditionError,
-    VanishingDenominatorError,
-)
+from .errors import PreconditionError, SchemaError, VanishingDenominatorError
 from .exponents import (
     Diagram,
     ModExponent,
@@ -34,10 +36,11 @@ from .exponents import (
     compare_diagrams,
     iter_alphas,
 )
-from .linalg import kernel_basis, rref
 from .rationals import QQ
 from .series import TruncatedSeries
-from .syzygies import RelationPresentation, _active_test, relations_of_generators
+
+if TYPE_CHECKING:
+    from .syzygies import RelationPresentation
 
 
 class _ParamModuleFields(NamedTuple):
@@ -119,17 +122,10 @@ class ExceptionalCertificates(NamedTuple):
     det_u_constant: Optional[ParamPolynomial] = None
 
     def all_polys(self) -> tuple[ParamPolynomial, ...]:
-        seen = []
-        for p in (
-            *self.initial_coefficients,
-            *self.denominator_generators,
-            *((self.det_u_constant,) if self.det_u_constant is not None else ()),
-        ):
-            if p.is_constant:
-                continue
-            if p not in seen:
-                seen.append(p)
-        return tuple(seen)
+        """The nonconstant polynomials, each once, in first-seen order."""
+        det = () if self.det_u_constant is None else (self.det_u_constant,)
+        polys = (*self.initial_coefficients, *self.denominator_generators, *det)
+        return tuple(dict.fromkeys(p for p in polys if not p.is_constant))
 
     def flags_at(self, point) -> tuple[bool, ...]:
         return tuple(bool(p.evaluate(point)) for p in self.all_polys())
@@ -227,26 +223,20 @@ def semicontinuity_scan(
             semicontinuity_ok = False
         if all(flags) and na != generic:
             genericity_ok = False
-        records.append(
-            PointRecord(point, "ok", diagram=na, comparison=cmpr,
-                        certificates_nonzero=flags)
-        )
+        records.append(PointRecord(point, "ok", diagram=na, comparison=cmpr,
+                                   certificates_nonzero=flags))
         diagrams.append(na)
 
     refinement = None
     if refine_points is not None:
         refined = []
         for raw in refine_points:
-            point = tuple(Fraction(v) for v in raw)
             try:
-                refined.append(_specialized_diagram(pm, point))
+                refined.append(_specialized_diagram(pm, tuple(Fraction(v) for v in raw)))
             except VanishingDenominatorError:
                 continue
-        base_keys = {d.census_key() for d in diagrams}
-        refined_keys = {d.census_key() for d in refined}
-        refinement = RefinementInfo(
-            census=_census_of(refined), stable=refined_keys == base_keys
-        )
+        stable = {d.census_key() for d in refined} == {d.census_key() for d in diagrams}
+        refinement = RefinementInfo(census=_census_of(refined), stable=stable)
 
     return SemicontinuityReport(
         generic=generic,
@@ -281,6 +271,7 @@ def oracle_relations(
     defect hides just past the horizon; they are truncation artifacts, not
     elements of the relation module.
     """
+    from .linalg import kernel_basis
     gens = list(generators)
     if not gens:
         return []
@@ -340,6 +331,7 @@ def specialized_relations_check(
     in the span of the specialized emitted relations (modulo degree > trunc
     and inert coordinates; see _all_spanned).
     """
+    from .syzygies import relations_of_generators
     ring, gens = pm.localized()
     pres = relations_of_generators(pm.order, gens)
     certs = _certificates(pres.basis, pres.det_u_certificate)
@@ -348,9 +340,7 @@ def specialized_relations_check(
     for raw in points:
         point = tuple(Fraction(v) for v in raw)
         if not certs.nonvanishing_at(point):
-            records.append(
-                RelationsPointRecord(point, "skipped", reason="certificate vanishes")
-            )
+            records.append(RelationsPointRecord(point, "skipped", reason="certificate vanishes"))
             continue
         try:
             gens_a = specialize(pm, point)
@@ -366,10 +356,8 @@ def specialized_relations_check(
         spanned = _all_spanned(rels_a, gens_a, oracle)
         if not spanned:
             all_passed = False
-        records.append(
-            RelationsPointRecord(point, "ok", oracle_count=len(oracle),
-                                 all_spanned=spanned)
-        )
+        records.append(RelationsPointRecord(point, "ok", oracle_count=len(oracle),
+                                            all_spanned=spanned))
     return RelationsCheckReport(pres, certs, records, all_passed)
 
 
@@ -382,6 +370,8 @@ def _all_spanned(span_rels, gens_a, candidates) -> bool:
     the candidates the trailing ones, so a candidate outside the span shows
     as a pivot in a candidate column.
     """
+    from .linalg import rref
+    from .syzygies import _active_test
     n, trunc = gens_a[0].n, gens_a[0].trunc
     multiples = [(r, beta) for r in span_rels for beta in iter_alphas(n, trunc)]
     rows = _multiplier_rows(multiples + [(h, (0,) * n) for h in candidates], trunc)
@@ -392,7 +382,7 @@ def _all_spanned(span_rels, gens_a, candidates) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sample point generation
+# sample points and point sources
 # ---------------------------------------------------------------------------
 
 _NUM_BOUND, _DEN_BOUND = 9, 4
@@ -402,15 +392,11 @@ def sample_points(num_params: int, count: int, seed: int) -> list[tuple[Fraction
     """Seeded rational sample points: each coordinate is a / b with a drawn
     uniformly from -9..9 and b from 1..4."""
     rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        pts.append(
-            tuple(
-                Fraction(rng.randint(-_NUM_BOUND, _NUM_BOUND), rng.randint(1, _DEN_BOUND))
-                for _ in range(num_params)
-            )
-        )
-    return pts
+    return [
+        tuple(Fraction(rng.randint(-_NUM_BOUND, _NUM_BOUND), rng.randint(1, _DEN_BOUND))
+              for _ in range(num_params))
+        for _ in range(count)
+    ]
 
 
 def grid_points(
@@ -422,10 +408,184 @@ def grid_points(
         lo, hi = Fraction(lo), Fraction(hi)
         if hi < lo:
             raise PreconditionError(f"empty grid range {lo}..{hi}")
-        vals = []
-        v = lo
-        while v <= hi:
-            vals.append(v)
-            v += step
-        axes.append(vals)
+        axes.append([lo + k * step for k in range((hi - lo) // step + 1)])
     return [tuple(p) for p in itertools.product(*axes)]
+
+
+def _parse_point(text: str, arity: int) -> tuple[Fraction, ...]:
+    """A point given as comma-separated rationals, as `--at` takes it."""
+    parts = [s.strip() for s in text.split(",")]
+    if len(parts) != arity:
+        raise SchemaError(f"--at expects {arity} coordinates, got {len(parts)}")
+    try:
+        return tuple(Fraction(s) for s in parts)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"--at: bad rational: {exc}") from None
+
+
+def _parse_grid(spec: str, param_names) -> list[tuple[int, int]]:
+    entries = {}
+    for part in spec.split(","):
+        name, sep, rng = part.partition(":")
+        if not sep:
+            raise SchemaError(f"--grid: expected 'name:lo..hi', got {part!r}")
+        lo, sep2, hi = rng.partition("..")
+        if not sep2:
+            raise SchemaError(f"--grid: expected 'lo..hi' in {part!r}")
+        name = name.strip()
+        if name in entries:
+            raise SchemaError(f"--grid: repeated parameter {name!r}")
+        try:
+            entries[name] = (int(lo), int(hi))
+        except ValueError as exc:
+            raise SchemaError(f"--grid: {exc}") from None
+    missing = [nm for nm in param_names if nm not in entries]
+    extra = [nm for nm in entries if nm not in param_names]
+    if missing or extra:
+        raise SchemaError(
+            f"--grid must cover the parameters exactly; missing {missing}, "
+            f"unknown {extra}"
+        )
+    return [entries[nm] for nm in param_names]
+
+
+def load_points_data(data, arity: int, source) -> list[tuple[Fraction, ...]]:
+    io._expect(isinstance(data, dict) and isinstance(data.get("points"), list),
+               source, "expected an object with a 'points' list")
+    points = []
+    for i, raw in enumerate(data["points"]):
+        ppath = f"{source}.points[{i}]"
+        io._expect(isinstance(raw, list) and len(raw) == arity,
+                   ppath, f"expected {arity} coordinates")
+        points.append(tuple(io._as_fraction(v, ppath) for v in raw))
+    return points
+
+
+def _point_source(param_names, hashes, points=None, grid=None, seed=None,
+                  count=None, refine=False):
+    """(points, refinement points or None, source descriptor) from the CLI
+    options of these names; the descriptor is echoed in the payload and the
+    source's digest goes into hashes.  `refine` needs a grid and `count`
+    (default 100) a seed.  An empty point set would pass vacuously, so it is
+    a precondition violation."""
+    arity = len(param_names)
+    if refine and not grid:
+        raise SchemaError("--refine needs --grid")
+    if count is not None and seed is None:
+        raise SchemaError("--count needs --seed")
+    refined = None
+    if points:
+        hashes["points"], data = io.load_json(points)
+        source = {"kind": "file", "path": points}
+        sample = load_points_data(data, arity, source=str(points))
+    elif grid:
+        hashes["points"] = io.hash_bytes(f"grid:{grid}".encode())
+        ranges = _parse_grid(grid, param_names)
+        sample = grid_points(ranges, step=Fraction(1))
+        refined = grid_points(ranges, step=Fraction(1, 2)) if refine else None
+        source = {"kind": "grid", "spec": grid, "refined": bool(refine)}
+    elif seed is not None:
+        count = 100 if count is None else count
+        hashes["points"] = io.hash_bytes(f"seed:{seed}:count:{count}".encode())
+        source = {"kind": "seed", "seed": seed, "count": count}
+        sample = sample_points(arity, count, seed)
+    else:
+        raise SchemaError("one of --points, --grid, or --seed is required")
+    if not sample:
+        raise PreconditionError("empty point set")
+    return sample, refined, source
+
+
+# ---------------------------------------------------------------------------
+# JSON results
+# ---------------------------------------------------------------------------
+
+def point_to_json(point) -> list:
+    return [str(Fraction(v)) for v in point]
+
+
+def certificates_to_json(certs: ExceptionalCertificates) -> dict:
+    det = certs.det_u_constant
+    return {
+        "initial_coefficients": [io.coeff_to_json(p) for p in certs.initial_coefficients],
+        "denominator_generators": [io.coeff_to_json(p) for p in certs.denominator_generators],
+        "det_u_constant": io.coeff_to_json(det) if det is not None else None,
+        "certificate_polynomials": [io.coeff_to_json(p) for p in certs.all_polys()],
+    }
+
+
+def _census_to_json(census) -> list:
+    return [{"vertices": io.diagram_to_json(d), "count": c} for d, c in census]
+
+
+def _records_to_json(records, ok_fields) -> list:
+    """Scan or check point records; an "ok" one adds ok_fields(record)."""
+    return [
+        {
+            "point": point_to_json(rec.point),
+            "status": rec.status,
+            **({"reason": rec.reason} if rec.reason else {}),
+            **(ok_fields(rec) if rec.status == "ok" else {}),
+        }
+        for rec in records
+    ]
+
+
+def semicontinuity_report_to_json(report: SemicontinuityReport) -> dict:
+    payload = {
+        "generic_vertices": io.diagram_to_json(report.generic),
+        "certificates": certificates_to_json(report.certificates),
+        "semicontinuity_ok": report.semicontinuity_ok,
+        "genericity_ok": report.genericity_ok,
+        "points": _records_to_json(report.records, lambda rec: {
+            "vertices": io.diagram_to_json(rec.diagram),
+            "comparison": io.ordering_to_str(rec.comparison),
+            "certificates_nonzero": list(rec.certificates_nonzero),
+        }),
+        "census": _census_to_json(report.census),
+        "note": "census reflects the sampled points only",
+    }
+    if report.refinement is not None:
+        payload["refinement"] = {
+            "census": _census_to_json(report.refinement.census),
+            "stable": report.refinement.stable,
+        }
+    return payload
+
+
+def relations_check_report_to_json(report: RelationsCheckReport) -> dict:
+    return {
+        "m": report.presentation.m,
+        "subset": [i + 1 for i in report.presentation.subset],
+        "relation_count": len(report.presentation.relations),
+        "certificates": certificates_to_json(report.certificates),
+        "all_passed": report.all_passed,
+        "points": _records_to_json(report.records, lambda rec: {
+            "oracle_relations": rec.oracle_count,
+            "all_spanned": rec.all_spanned,
+        }),
+    }
+
+
+def specialize_payload(pm: ParamModule, at: str, names, hashes) -> dict:
+    """The `specialize` result: the named generators at the point `at`."""
+    point = _parse_point(at, len(pm.param_names))
+    hashes["point"] = io.hash_bytes(at.encode())
+    return {
+        "point": point_to_json(point),
+        "series": io.named_series_to_json(names, specialize(pm, point), pm.order),
+    }
+
+
+def scan_payload(pm: ParamModule, hashes, **source) -> dict:
+    """The `semicont-scan` result over the points of _point_source(**source)."""
+    points, refine, descriptor = _point_source(pm.param_names, hashes, **source)
+    report = semicontinuity_scan(pm, points, refine)
+    return {"points_source": descriptor, **semicontinuity_report_to_json(report)}
+
+
+def relations_check_payload(pm: ParamModule, hashes, **source) -> dict:
+    """The `relations-check` result over the points of _point_source(**source)."""
+    points, _, descriptor = _point_source(pm.param_names, hashes, **source)
+    report = specialized_relations_check(pm, points)
+    return {"points_source": descriptor, **relations_check_report_to_json(report)}

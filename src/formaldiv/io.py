@@ -6,6 +6,9 @@ by term with coefficient expressions.  Result files echo a hash of their
 inputs and carry an operation-specific payload; identical inputs must yield
 byte-identical result files, so nothing time- or environment-dependent is
 written unless explicitly requested.
+Only the shapes all results share live here (coefficients, series,
+diagrams); family points files and reports are in `families`, and relation
+presentations in `syzygies`.
 """
 
 from __future__ import annotations
@@ -32,13 +35,6 @@ except ImportError:
 
 if TYPE_CHECKING:
     from .coefficients import ParamPolynomial
-    from .families import (
-        ExceptionalCertificates,
-        ParamModule,
-        RelationsCheckReport,
-        SemicontinuityReport,
-    )
-    from .syzygies import RelationPresentation
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +60,8 @@ class LoadedModule(NamedTuple):
     def generators(self) -> list[TruncatedSeries]:
         return [self.series[name] for name in self.series_names]
 
-    def param_module(self) -> ParamModule:
+    def param_module(self):
+        """The family the file declares, as a `families.ParamModule`."""
         if not self.is_parametric:
             raise SchemaError("module file declares no parameters")
         from .families import ParamModule
@@ -219,18 +216,6 @@ def parse_module_file(path) -> LoadedModule:
     return load_module_data(load_json(path)[1], source=str(path))
 
 
-def load_points_data(data, arity: int, source) -> list[tuple[Fraction, ...]]:
-    _expect(isinstance(data, dict) and isinstance(data.get("points"), list),
-            source, "expected an object with a 'points' list")
-    points = []
-    for i, raw in enumerate(data["points"]):
-        ppath = f"{source}.points[{i}]"
-        _expect(isinstance(raw, list) and len(raw) == arity,
-                ppath, f"expected {arity} coordinates")
-        points.append(tuple(_as_fraction(v, ppath) for v in raw))
-    return points
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -261,6 +246,13 @@ def series_to_json(s: TruncatedSeries, order) -> list:
     ]
 
 
+def named_series_to_json(names, series_list, order) -> list:
+    return [
+        {"name": name, "terms": series_to_json(s, order)}
+        for name, s in zip(names, series_list)
+    ]
+
+
 def vertex_to_json(v: ModExponent) -> list:
     return [list(v.alpha), v.comp]
 
@@ -272,104 +264,6 @@ def diagram_to_json(d: Diagram) -> list:
 def ordering_to_str(o: Ordering) -> str:
     return {Ordering.LESS: "less", Ordering.EQUAL: "equal",
             Ordering.GREATER: "greater"}[o]
-
-
-def point_to_json(point) -> list:
-    return [str(Fraction(v)) for v in point]
-
-
-def certificates_to_json(certs: ExceptionalCertificates) -> dict:
-    det = certs.det_u_constant
-    return {
-        "initial_coefficients": [coeff_to_json(p) for p in certs.initial_coefficients],
-        "denominator_generators": [coeff_to_json(p) for p in certs.denominator_generators],
-        "det_u_constant": coeff_to_json(det) if det is not None else None,
-        "certificate_polynomials": [coeff_to_json(p) for p in certs.all_polys()],
-    }
-
-
-def semicontinuity_report_to_json(report: SemicontinuityReport) -> dict:
-    payload = {
-        "generic_vertices": diagram_to_json(report.generic),
-        "certificates": certificates_to_json(report.certificates),
-        "semicontinuity_ok": report.semicontinuity_ok,
-        "genericity_ok": report.genericity_ok,
-        "points": [
-            {
-                "point": point_to_json(rec.point),
-                "status": rec.status,
-                **({"reason": rec.reason} if rec.reason else {}),
-                **(
-                    {
-                        "vertices": diagram_to_json(rec.diagram),
-                        "comparison": ordering_to_str(rec.comparison),
-                        "certificates_nonzero": list(rec.certificates_nonzero),
-                    }
-                    if rec.status == "ok" else {}
-                ),
-            }
-            for rec in report.records
-        ],
-        "census": [
-            {"vertices": diagram_to_json(d), "count": c} for d, c in report.census
-        ],
-        "note": "census reflects the sampled points only",
-    }
-    if report.refinement is not None:
-        payload["refinement"] = {
-            "census": [
-                {"vertices": diagram_to_json(d), "count": c}
-                for d, c in report.refinement.census
-            ],
-            "stable": report.refinement.stable,
-        }
-    return payload
-
-
-def relations_check_report_to_json(report: RelationsCheckReport) -> dict:
-    return {
-        "m": report.presentation.m,
-        "subset": [i + 1 for i in report.presentation.subset],
-        "relation_count": len(report.presentation.relations),
-        "certificates": certificates_to_json(report.certificates),
-        "all_passed": report.all_passed,
-        "points": [
-            {
-                "point": point_to_json(rec.point),
-                "status": rec.status,
-                **({"reason": rec.reason} if rec.reason else {}),
-                **(
-                    {
-                        "oracle_relations": rec.oracle_count,
-                        "all_spanned": rec.all_spanned,
-                    }
-                    if rec.status == "ok" else {}
-                ),
-            }
-            for rec in report.records
-        ],
-    }
-
-
-def presentation_to_json(pres: RelationPresentation, order) -> dict:
-    def matrix(mat):
-        return [[series_to_json(cell, order) for cell in row] for row in mat]
-
-    return {
-        "m": pres.m,
-        "subset": [i + 1 for i in pres.subset],
-        "generator_order": [i + 1 for i in pres.generator_order],
-        "basis_vertices": diagram_to_json(pres.basis.diagram),
-        "relations": [series_to_json(r, order) for r in pres.relations],
-        "theta": matrix(pres.theta),
-        "xi": matrix(pres.xi),
-        "u": matrix(pres.u_matrix),
-        "det_u_constant": coeff_to_json(pres.det_u_constant),
-        "certificates": {
-            "denominator_generators": [coeff_to_json(p) for p in pres.denominator_generators],
-            "det_u_constant": coeff_to_json(pres.det_u_constant),
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -394,24 +288,22 @@ def build_result(operation: str, input_hashes: dict, payload: dict,
 
 
 def _render_text_value(value, indent=0):
+    """Lines of an indented outline: `key:` for dict entries, `-` for list
+    items, with scalars on the same line."""
     pad = "  " * indent
-    lines = []
     if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_text_value(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
+        items = [(f"{k}:", v) for k, v in value.items()]
     elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text_value(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
+        items = [("-", v) for v in value]
     else:
-        lines.append(f"{pad}{value}")
+        return [f"{pad}{value}"]
+    lines = []
+    for label, v in items:
+        if isinstance(v, (dict, list)):
+            lines.append(f"{pad}{label}")
+            lines.extend(_render_text_value(v, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {v}")
     return lines
 
 

@@ -23,6 +23,9 @@ Each generator list is completed once.  The full list's completion supplies
 the target diagram of both greedy passes (over the generators and over the
 basis), and the completion that accepted a pass's last drop is the basis of
 its survivors, through which the dropped series are expressed.
+
+The `syzygy` and `relations` results are shaped as JSON here, so a call that
+computes no relations loads none of it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
+from . import io
 from .division import (
     DivisionResult,
     StandardBasis,
@@ -382,3 +386,47 @@ def relations_of_generators(
         det_u_constant=det_u0,
         denominator_generators=dens,
     )
+
+
+# ---------------------------------------------------------------------------
+# JSON results
+# ---------------------------------------------------------------------------
+
+def presentation_to_json(pres: RelationPresentation, order) -> dict:
+    def matrix(mat):
+        return [[io.series_to_json(cell, order) for cell in row] for row in mat]
+
+    return {
+        "m": pres.m,
+        "subset": [i + 1 for i in pres.subset],
+        "generator_order": [i + 1 for i in pres.generator_order],
+        "basis_vertices": io.diagram_to_json(pres.basis.diagram),
+        "relations": [io.series_to_json(r, order) for r in pres.relations],
+        "theta": matrix(pres.theta),
+        "xi": matrix(pres.xi),
+        "u": matrix(pres.u_matrix),
+        "det_u_constant": io.coeff_to_json(pres.det_u_constant),
+        "certificates": {
+            "denominator_generators": [io.coeff_to_json(p) for p in pres.denominator_generators],
+            "det_u_constant": io.coeff_to_json(pres.det_u_constant),
+        },
+    }
+
+
+def syzygy_payload(order, generators: Sequence[TruncatedSeries]) -> dict:
+    """The `syzygy` result: the diagram of the generators' standard basis,
+    and the diagram and distinguished relations of its relation module."""
+    basis = complete_to_standard_basis(order, generators)
+    syz = standard_relations(basis)
+    return {
+        "truncation_degree": generators[0].trunc,
+        "basis_vertices": io.diagram_to_json(basis.diagram),
+        "syzygy_vertices": io.diagram_to_json(syz.diagram),
+        "relations": [io.series_to_json(r, syz.order) for r in syz.relations],
+    }
+
+
+def relations_payload(order, generators: Sequence[TruncatedSeries]) -> dict:
+    """The `relations` result: a presentation of the generators' relations."""
+    pres = relations_of_generators(order, generators)
+    return {"truncation_degree": generators[0].trunc, **presentation_to_json(pres, order)}

@@ -277,6 +277,29 @@ def test_cli_semicont_scan_seeded(tmp_path):
     assert len(result["payload"]["points"]) == 20
 
 
+def test_cli_seed_without_count_samples_100_points(tmp_path):
+    result = run_json(
+        tmp_path, "semicont-scan", "--module", fx("family_pivot.json"), "--seed", "7",
+    )
+    payload = result["payload"]
+    assert payload["points_source"] == {"kind": "seed", "seed": 7, "count": 100}
+    assert len(payload["points"]) == 100
+
+
+@pytest.mark.parametrize("command", ["semicont-scan", "relations-check"])
+@pytest.mark.parametrize("source", [
+    ("--grid", "xi1:-1..1"),
+    ("--points", fx("points_basic.json")),
+    (),
+])
+def test_cli_count_needs_a_seed(capsys, command, source):
+    argv = [command, "--module", fx("family_pivot.json"), *source, "--count", "5"]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--count needs --seed" in captured.err
+
+
 def test_cli_relations_check(tmp_path):
     result = run_json(
         tmp_path, "relations-check",

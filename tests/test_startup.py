@@ -41,6 +41,18 @@ def cli_call(*argv):
     return f"import formaldiv.cli\nassert formaldiv.cli.run_command({list(argv)!r}) == 0"
 
 
+# A rational divide loaded 1,981 lines of formaldiv source while cli and io
+# still held the point sources and JSON shapes of family and relation results.
+RATIONAL_DIVIDE_LINE_BUDGET = 1981 - 150
+
+
+def source_lines(names):
+    """Lines of the formaldiv source files among the loaded module names."""
+    files = ["__init__", *formaldiv_modules(names)]
+    return sum(len((SRC / "formaldiv" / f"{m}.py").read_text().splitlines())
+               for m in files)
+
+
 # -- import footprint ----------------------------------------------------------
 
 def test_import_package_loads_no_submodule():
@@ -67,6 +79,35 @@ def test_divide_loads_no_family_or_relation_module(tmp_path):
     assert "dataclasses" not in names and "inspect" not in names
     if NO_HASHLIB:
         assert "hashlib" not in names
+
+
+def test_rational_divide_loads_a_bounded_amount_of_source(tmp_path):
+    names = loaded_after(cli_call(
+        "divide", "--module", str(FIXTURES / "module_squares.json"),
+        "--dividend", str(FIXTURES / "dividend_mixed.json"),
+        "--out", str(tmp_path / "r.json"),
+    ))
+    assert formaldiv_modules(names) == {
+        "cli", "io", "errors", "rationals", "exponents", "series", "division",
+    }
+    assert source_lines(names) <= RATIONAL_DIVIDE_LINE_BUDGET
+
+
+def test_semicont_scan_loads_no_relation_code(tmp_path):
+    mods = formaldiv_modules(loaded_after(cli_call(
+        "semicont-scan", "--module", str(FIXTURES / "family_relations.json"),
+        "--grid", "xi1:-2..2", "--refine", "--out", str(tmp_path / "r.json"),
+    )))
+    assert "families" in mods
+    assert not mods & {"syzygies", "linalg"}
+
+
+def test_relations_check_loads_relation_code(tmp_path):
+    mods = formaldiv_modules(loaded_after(cli_call(
+        "relations-check", "--module", str(FIXTURES / "family_relations.json"),
+        "--grid", "xi1:-2..2", "--out", str(tmp_path / "r.json"),
+    )))
+    assert {"families", "syzygies", "linalg"} <= mods
 
 
 def test_relations_loads_syzygies_but_not_families(tmp_path):
