@@ -24,11 +24,6 @@ from .exponents import compare_diagrams
 
 # families and syzygies are imported by the subcommands that run them.
 
-SUBCOMMANDS = (
-    "divide", "diagram", "std-basis", "membership", "syzygy", "relations",
-    "compare-diagrams", "specialize", "semicont-scan", "relations-check",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

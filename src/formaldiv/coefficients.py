@@ -12,10 +12,14 @@ is making denominator generators monic in their leading coefficient.
 
 Values of every ring share one protocol: ``+``, ``-`` (binary and unary),
 ``*`` and ``==`` within one ring, and truthiness, which is false exactly for
-zero.  A ring object (``QQ``, ``PolynomialRing``, ``LocalizedRing``) supplies
-only what values cannot: ``zero`` and ``one``, the constructors ``from_int``
-and ``from_fraction`` (plus ``variable`` on ``PolynomialRing`` and
-``from_poly`` on ``LocalizedRing``), ``divide_by_unit`` and ``evaluate``.
+zero.  Parametric values also evaluate themselves at a rational parameter
+point (``c.evaluate(point)``).  A ring object (``QQ``, ``PolynomialRing``,
+``LocalizedRing``) supplies only what values cannot: ``zero`` and ``one``,
+the constructor ``from_int`` (plus ``variable`` on ``PolynomialRing`` and
+``from_poly`` on ``LocalizedRing``) and ``divide_by_unit``.
+
+The expression parser builds ``ParamPolynomial`` values only; without
+parameter names it returns the constant's ``Fraction``.
 """
 
 from __future__ import annotations
@@ -134,9 +138,13 @@ class ParamPolynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise PreconditionError("negative polynomial power")
-        out = ParamPolynomial.constant(self.names, 1)
-        for _ in range(k):
-            out = out * self
+        out, base = ParamPolynomial.constant(self.names, 1), self
+        while k:  # square and multiply
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def scale(self, c) -> "ParamPolynomial":
@@ -387,9 +395,6 @@ class PolynomialRing(_ValueWork):
     def from_int(self, k: int) -> ParamPolynomial:
         return ParamPolynomial.constant(self.names, k)
 
-    def from_fraction(self, v) -> ParamPolynomial:
-        return ParamPolynomial.constant(self.names, v)
-
     def variable(self, name: str) -> ParamPolynomial:
         return ParamPolynomial.variable(self.names, name)
 
@@ -401,9 +406,6 @@ class PolynomialRing(_ValueWork):
                 f"{s} is not a unit of the polynomial ring; localize first"
             )
         return a.scale(1 / s.constant_value())
-
-    def evaluate(self, a, point) -> Fraction:
-        return a.evaluate(point)
 
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and self.names == other.names
@@ -433,9 +435,6 @@ class LocalizedRing(_ValueWork):
     def from_int(self, k: int) -> LocalizedFraction:
         return LocalizedFraction(self.base.from_int(k), {}, self.dset)
 
-    def from_fraction(self, v) -> LocalizedFraction:
-        return LocalizedFraction(self.base.from_fraction(v), {}, self.dset)
-
     def from_poly(self, p: ParamPolynomial) -> LocalizedFraction:
         return LocalizedFraction(p, {}, self.dset)
 
@@ -461,9 +460,6 @@ class LocalizedRing(_ValueWork):
                 powers[i] -= common
         num = (a.num * self.dset.power_product(mul)).scale(Fraction(1) / c)
         return LocalizedFraction(num, powers, self.dset)
-
-    def evaluate(self, a, point) -> Fraction:
-        return a.evaluate(point)
 
     def __eq__(self, other):
         return isinstance(other, LocalizedRing) and self.dset is other.dset
@@ -528,17 +524,6 @@ class _ExprParser:
         self.i += 1
         return tok
 
-    def _const(self, value):
-        if self.names:
-            return ParamPolynomial.constant(self.names, value)
-        return Fraction(value)
-
-    def _is_const(self, v):
-        return isinstance(v, Fraction) or v.is_constant
-
-    def _const_value(self, v):
-        return v if isinstance(v, Fraction) else v.constant_value()
-
     def parse(self):
         value = self.expr()
         kind, tok, pos = self.peek()
@@ -567,15 +552,11 @@ class _ExprParser:
                 if tok == "*":
                     value = value * rhs
                 else:
-                    if not self._is_const(rhs):
+                    if not rhs.is_constant:
                         raise ExpressionError("non-constant divisor", pos)
-                    c = self._const_value(rhs)
-                    if not c:
+                    if not rhs:
                         raise ExpressionError("division by zero", pos)
-                    if isinstance(value, Fraction):
-                        value = value / c
-                    else:
-                        value = value.scale(Fraction(1) / c)
+                    value = value.scale(1 / rhs.constant_value())
             else:
                 return value
 
@@ -606,7 +587,7 @@ class _ExprParser:
     def atom(self):
         kind, tok, pos = self.advance()
         if kind == "int":
-            return self._const(tok)
+            return ParamPolynomial.constant(self.names, tok)
         if kind == "name":
             if tok not in self.names:
                 raise ExpressionError(f"unknown identifier {tok!r}", pos)
@@ -624,9 +605,11 @@ def parse_coefficient(text: str, names: Sequence[str] = ()) -> Coefficient:
     """Parse a coefficient expression.
 
     With parameter names the result is a ParamPolynomial (constants included);
-    without, a Fraction.
+    without, its constant value, a Fraction.
     """
-    return _ExprParser(text, tuple(names)).parse()
+    names = tuple(names)
+    value = _ExprParser(text, names).parse()
+    return value if names else value.constant_value()
 
 
 def format_coefficient(c: Coefficient) -> str:

@@ -107,11 +107,12 @@ def specialize(pm: ParamModule, point: Sequence[Fraction]) -> list[TruncatedSeri
             raise VanishingDenominatorError(
                 f"declared denominator {seed} vanishes at {point}"
             )
-    ring = pm.generators[0].ring
-    return [
-        g.map_coefficients(lambda c: ring.evaluate(c, point), QQ)
-        for g in pm.generators
-    ]
+    return [_at(g, point) for g in pm.generators]
+
+
+def _at(series: TruncatedSeries, point) -> TruncatedSeries:
+    # the series over QQ with every coefficient evaluated at point
+    return series.map_coefficients(lambda c: c.evaluate(point), QQ)
 
 
 class ExceptionalCertificates(NamedTuple):
@@ -332,8 +333,7 @@ def specialized_relations_check(
     and inert coordinates; see _all_spanned).
     """
     from .syzygies import relations_of_generators
-    ring, gens = pm.localized()
-    pres = relations_of_generators(pm.order, gens)
+    pres = relations_of_generators(pm.order, pm.localized()[1])
     certs = _certificates(pres.basis, pres.det_u_certificate)
     records = []
     all_passed = True
@@ -344,10 +344,7 @@ def specialized_relations_check(
             continue
         try:
             gens_a = specialize(pm, point)
-            rels_a = [
-                r.map_coefficients(lambda c: ring.evaluate(c, point), QQ)
-                for r in pres.relations
-            ]
+            rels_a = [_at(r, point) for r in pres.relations]
         except VanishingDenominatorError as exc:
             records.append(RelationsPointRecord(point, "skipped", reason=str(exc)))
             continue
@@ -469,16 +466,16 @@ def _point_source(param_names, hashes, points=None, grid=None, seed=None,
     (default 100) a seed.  An empty point set would pass vacuously, so it is
     a precondition violation."""
     arity = len(param_names)
-    if refine and not grid:
+    if refine and grid is None:
         raise SchemaError("--refine needs --grid")
     if count is not None and seed is None:
         raise SchemaError("--count needs --seed")
     refined = None
-    if points:
+    if points is not None:
         hashes["points"], data = io.load_json(points)
         source = {"kind": "file", "path": points}
         sample = load_points_data(data, arity, source=str(points))
-    elif grid:
+    elif grid is not None:
         hashes["points"] = io.hash_bytes(f"grid:{grid}".encode())
         ranges = _parse_grid(grid, param_names)
         sample = grid_points(ranges, step=Fraction(1))

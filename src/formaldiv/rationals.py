@@ -38,16 +38,10 @@ class RationalField:
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
 
-    def from_fraction(self, v) -> Fraction:
-        return Fraction(v)
-
     def divide_by_unit(self, a, s):
         if not s:
             raise NotInvertibleError("division by zero")
         return a / s
-
-    def evaluate(self, a, point) -> Fraction:
-        return a
 
     # the division kernel's work form: reduced (num, den) int pairs, den > 0
     _to_work = staticmethod(attrgetter("numerator", "denominator"))

@@ -89,14 +89,14 @@ class SyzygyBasis(NamedTuple):
         return len(self.relations)
 
 
-def _relations_core(order, elements: Sequence[TruncatedSeries], form):
+def _relations_core(order, elements: Sequence[TruncatedSeries]):
     """Syzygy order, diagram and distinguished relations of an ordered list."""
     ring = elements[0].ring
     n, trunc = elements[0].n, elements[0].trunc
     r = len(elements)
     exps = [e.initial(order).exponent for e in elements]
     partition = DeltaPartition(exps)
-    syz_order = syzygy_order_for(exps, form)
+    syz_order = syzygy_order_for(exps, order.form)
     ndiag = syzygy_diagram(partition, order=syz_order)
     relations = []
     for v in ndiag.vertices:
@@ -122,9 +122,7 @@ def standard_relations(basis: StandardBasis) -> SyzygyBasis:
     """Distinguished generating relations among the basis elements."""
     if not basis.elements:
         raise PreconditionError("empty basis has no relation module")
-    order, diagram, relations = _relations_core(
-        basis.order, basis.elements, basis.order.form
-    )
+    order, diagram, relations = _relations_core(basis.order, basis.elements)
     return SyzygyBasis(basis, order, diagram, relations)
 
 
@@ -344,7 +342,7 @@ def relations_of_generators(
             "constant term of the change-of-generators matrix is singular"
         )
 
-    p_rels = _relations_core(order, elements_perm, order.form)[2]
+    p_rels = _relations_core(order, elements_perm)[2]
 
     relations = []
     for p_rel in p_rels:

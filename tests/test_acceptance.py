@@ -16,6 +16,7 @@ from formaldiv import (
     ModExponent,
     Ordering,
     ParamModule,
+    ParamPolynomial,
     PolynomialRing,
     TruncatedSeries,
     complete_to_standard_basis,
@@ -237,7 +238,7 @@ def _relations_instances():
         ring = PolynomialRing(())
         gens = [
             TruncatedSeries(n, 1, d, ring, {
-                ModExponent(alpha, 1): ring.from_fraction(Fraction(c))
+                ModExponent(alpha, 1): ParamPolynomial.constant(ring.names, c)
                 for alpha, c in terms.items()
             })
             for terms in termss
@@ -332,7 +333,7 @@ def test_criterion_6_relations_of_generators():
         for pt in good_points:
             gens_a = specialize(pm, pt)
             rels_a = [
-                r.map_coefficients(lambda c: ring.evaluate(c, pt), QQ)
+                r.map_coefficients(lambda c: c.evaluate(pt), QQ)
                 for r in pres.relations
             ]
             nonzero_a = [g for g in gens_a if not g.is_zero]

@@ -324,6 +324,19 @@ def test_cli_refine_only_scans_a_grid(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["semicont-scan", "--grid", ""],
+    ["semicont-scan", "--grid", "", "--refine"],
+    ["relations-check", "--grid", ""],
+])
+def test_cli_empty_grid_is_a_malformed_grid(capsys, argv):
+    command, *source = argv
+    assert run(command, "--module", fx("family_pivot.json"), *source) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid: expected 'name:lo..hi', got ''" in captured.err
+
+
 @pytest.mark.parametrize("command", ["semicont-scan", "relations-check"])
 @pytest.mark.parametrize("sources", [
     ("--points", "--grid"), ("--points", "--seed"), ("--grid", "--seed"),

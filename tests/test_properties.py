@@ -194,7 +194,7 @@ def test_specialization_commutes_with_division(inst):
     assert certified  # each certificate has at most two roots
     for pt in certified:
         def at(s):
-            return s.map_coefficients(lambda c: ring.evaluate(c, pt), QQ)
+            return s.map_coefficients(lambda c: c.evaluate(pt), QQ)
 
         spec = hironaka_divide(order, [at(d) for d in divisors], at(f))
         assert spec.remainder == at(res.remainder)
@@ -262,6 +262,82 @@ def test_rational_coefficients_load_as_the_parser_reads_them(text):
     else:
         got = io.load_module_data(data).series["F1"].coefficient(ModExponent((1,), 1))
         assert type(got) is Fraction and got == expected
+
+
+# Expression trees over the coefficient grammar: ("int", k), ("sign", "+"|"-", t),
+# ("bin", op, left, right), ("pow", t, k) and ("paren", t).
+expr_trees = st.recursive(
+    st.tuples(st.just("int"), st.integers(0, 12)),
+    lambda sub: st.one_of(
+        st.tuples(st.just("sign"), st.sampled_from("+-"), sub),
+        st.tuples(st.just("bin"), st.sampled_from("+-*/"), sub, sub),
+        st.tuples(st.just("pow"), sub, st.integers(0, 3)),
+        st.tuples(st.just("paren"), sub),
+    ),
+    max_leaves=10,
+)
+
+
+def _show(tree):
+    """(text, grammar level) of a tree; levels 0 expr, 1 term, 2 factor,
+    3 power, 4 atom."""
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1]), 4
+    if kind == "paren":
+        return f"({_show(tree[1])[0]})", 4
+    if kind == "pow":
+        return f"{_shown_at(tree[1], 4)}^{tree[2]}", 3
+    if kind == "sign":
+        return tree[1] + _shown_at(tree[2], 2), 2
+    _, op, left, right = tree
+    level = 0 if op in "+-" else 1  # left associative
+    return f"{_shown_at(left, level)} {op} {_shown_at(right, level + 1)}", level
+
+
+def _shown_at(tree, level):
+    text, own = _show(tree)
+    return text if own >= level else f"({text})"
+
+
+def _value(tree) -> Fraction:
+    kind = tree[0]
+    if kind == "int":
+        return Fraction(tree[1])
+    if kind == "paren":
+        return _value(tree[1])
+    if kind == "pow":
+        return _value(tree[1]) ** tree[2]
+    if kind == "sign":
+        return -_value(tree[2]) if tree[1] == "-" else _value(tree[2])
+    _, op, left, right = tree
+    a, b = _value(left), _value(right)
+    if op == "/":
+        return a / b
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), database=None)
+@given(expr_trees)
+@example(("sign", "-", ("pow", ("int", 2), 2)))
+@example(("pow", ("sign", "-", ("int", 2)), 2))
+@example(("bin", "-", ("int", 2), ("sign", "-", ("int", 3))))
+@example(("bin", "/", ("int", 1), ("bin", "-", ("int", 2), ("int", 2))))
+@example(("pow", ("int", 0), 0))
+def test_rational_expressions_parse_to_their_value(tree):
+    """Without names the parser returns the Fraction the tree evaluates to;
+    with names it returns that constant; a zero divisor fails both ways."""
+    text = _show(tree)[0]
+    try:
+        expected = _value(tree)
+    except ZeroDivisionError:
+        for names in ((), ("t",)):
+            with pytest.raises(ExpressionError, match="division by zero"):
+                parse_coefficient(text, names)
+        return
+    got = parse_coefficient(text)
+    assert type(got) is Fraction and got == expected, text
+    assert parse_coefficient(text, ("t",)) == ParamPolynomial.constant(("t",), expected)
 
 
 # -- sparse linear algebra -------------------------------------------------------
