@@ -1,5 +1,5 @@
-"""Pinned CLI bytes: the sha256 of stdout and the exit code of every fixture
-command, as recorded in ``fixtures/cli_golden.json``.
+"""Pinned CLI bytes: the sha256 of stdout and of stderr and the exit code of
+every fixture command, as recorded in ``fixtures/cli_golden.json``.
 
 Identical inputs must give byte-identical results, including after a kernel
 is rewritten.  Over a localized ring this is not automatic: fractions are
@@ -63,17 +63,23 @@ def commands():
         yield ["relations-check", *base, "--grid", grid]
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_captured(argv):
-    """(exit code, sha256 of stdout) of one CLI call run in the fixture folder."""
-    out = io.StringIO()
+    """The golden entry of one CLI call run in the fixture folder: its exit
+    code and the sha256 of its stdout and of its stderr."""
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(FIXTURES)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run_command(list(argv))
     finally:
         os.chdir(cwd)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return {"exit": code, "sha256": _digest(out.getvalue()),
+            "stderr_sha256": _digest(err.getvalue())}
 
 
 def _golden():
@@ -86,9 +92,7 @@ def test_golden_covers_every_command():
 
 @pytest.mark.parametrize("argv", list(commands()), ids=" ".join)
 def test_cli_bytes_match_golden(argv):
-    expected = _golden()[" ".join(argv)]
-    code, digest = run_captured(argv)
-    assert {"exit": code, "sha256": digest} == expected
+    assert run_captured(argv) == _golden()[" ".join(argv)]
 
 
 if __name__ == "__main__":
@@ -96,7 +100,6 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_cli_golden.py --write")
     table = {}
     for argv in commands():
-        code, digest = run_captured(argv)
-        table[" ".join(argv)] = {"exit": code, "sha256": digest}
+        table[" ".join(argv)] = run_captured(argv)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} entries to {GOLDEN}")
