@@ -37,11 +37,11 @@ _EXPORTS = {
         "compare_diagrams", "diagram_from_exponents", "syzygy_order_for",
     ),
     "families": (
-        "ExceptionalCertificates", "ParamModule", "SemicontinuityReport",
-        "generic_diagram", "grid_points", "oracle_relations",
-        "relation_multiplier_bound", "sample_points", "semicontinuity_scan",
-        "specialize", "specialized_relations_check",
+        "ExceptionalCertificates", "SemicontinuityReport", "generic_diagram",
+        "grid_points", "oracle_relations", "relation_multiplier_bound", "sample_points",
+        "semicontinuity_scan", "specialize", "specialized_relations_check",
     ),
+    "io": ("ParamModule",),
     "rationals": ("QQ",),
     "series": ("InitialData", "TruncatedSeries"),
     "syzygies": (

@@ -76,9 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _prepare(mod):
     """Generators over the working ring (localized for parametric modules)."""
-    if mod.is_parametric:
+    if mod.param_names:
         return mod.param_module().localized()[1]
-    return mod.generators()
+    return mod.generators
 
 
 def _load_module(path, hashes, key):
@@ -100,11 +100,11 @@ def _load_dividend(args, mod, hashes):
         raise SchemaError("dividend order weights differ from module")
     if div.param_names != mod.param_names:
         raise SchemaError("dividend parameters differ from module")
-    if len(div.series_names) != 1:
+    if len(div.generators) != 1:
         raise SchemaError("dividend file must contain exactly one series")
     gens = _prepare(mod)
-    dividend = div.series[div.series_names[0]]
-    if mod.is_parametric:
+    dividend = div.generators[0]
+    if mod.param_names:
         ring = gens[0].ring
         dividend = dividend.map_coefficients(ring.from_poly, ring)
     return gens, dividend
@@ -113,15 +113,22 @@ def _load_dividend(args, mod, hashes):
 def _diagram(mod):
     """The module's diagram and, for a parametric module, the certificates of
     its generic diagram over the localized ring (None over the rationals)."""
-    if mod.is_parametric:
+    if mod.param_names:
         from .families import generic_diagram
         return generic_diagram(mod.param_module())
-    return complete_to_standard_basis(mod.order, mod.generators()).diagram, None
+    return complete_to_standard_basis(mod.order, mod.generators).diagram, None
 
 
 def _point_options(args):
     """The point-source options, as the keywords the families payloads take."""
     return {key: getattr(args, key) for key in ("points", "grid", "seed", "count")}
+
+
+def _division_to_json(res, order):
+    """The quotients Q1, Q2, ... and the remainder of a division."""
+    names = [f"Q{i + 1}" for i in range(len(res.quotients))]
+    return {"quotients": io.named_series_to_json(names, res.quotients, order),
+            "remainder": io.series_to_json(res.remainder, order)}
 
 
 def _dispatch(args):
@@ -139,10 +146,7 @@ def _payload(args, mod, hashes):
         res = hironaka_divide(order, gens, dividend)
         return {
             "truncation_degree": mod.trunc,
-            "quotients": io.named_series_to_json(
-                [f"Q{i + 1}" for i in range(len(gens))], res.quotients, order
-            ),
-            "remainder": io.series_to_json(res.remainder, order),
+            **_division_to_json(res, order),
             "denominators_introduced": [io.coeff_to_json(p) for p in res.new_denominators],
         }
 
@@ -176,13 +180,7 @@ def _payload(args, mod, hashes):
         return {
             "truncation_degree": mod.trunc,
             "member": member,
-            "witness": {
-                "quotients": io.named_series_to_json(
-                    [f"Q{i + 1}" for i in range(len(basis.elements))],
-                    res.quotients, order,
-                ),
-                "remainder": io.series_to_json(res.remainder, order),
-            },
+            "witness": _division_to_json(res, order),
         }
 
     if command == "syzygy":
@@ -199,12 +197,12 @@ def _payload(args, mod, hashes):
         return {
             "left_vertices": io.diagram_to_json(d1),
             "right_vertices": io.diagram_to_json(d2),
-            "comparison": io.ordering_to_str(compare_diagrams(d1, d2)),
+            "comparison": compare_diagrams(d1, d2).name.lower(),
         }
 
     if command == "specialize":
         from .families import specialize_payload
-        return specialize_payload(mod.param_module(), args.at, mod.series_names, hashes)
+        return specialize_payload(mod.param_module(), args.at, hashes)
 
     if command == "semicont-scan":
         from .families import scan_payload

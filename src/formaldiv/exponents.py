@@ -39,11 +39,6 @@ def sub_alpha(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple(out)
 
 
-def clipped_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Componentwise max(a - b, 0)."""
-    return tuple(max(x - y, 0) for x, y in zip(a, b))
-
-
 class _ModExponentFields(NamedTuple):
     alpha: tuple[int, ...]
     comp: int = 1
@@ -359,7 +354,7 @@ class DeltaPartition:
         """
         a_i = self.exps[i]
         gens = list(dict.fromkeys(
-            clipped_sub(a_k.alpha, a_i.alpha)
+            tuple(max(x - y, 0) for x, y in zip(a_k.alpha, a_i.alpha))
             for a_k in self.exps[:i]
             if a_k.comp == a_i.comp
         ))

@@ -9,9 +9,10 @@ an explicit list of polynomials (the coefficients inverted along the way).
 No parameter-space geometry is computed; sampling plus certificates stand in
 for the stratification, and the reports say only what was sampled.
 
-The point sources and JSON results of the family commands live here too, so
-a call over the rationals loads none of it; `syzygies` and `linalg` are
-imported by the functions that run them.
+The family type, `ParamModule`, is the module record `io` reads, so a
+parametric `divide`, `std-basis` or `relations` loads none of this module.
+The point sources and JSON results of the family commands live here;
+`syzygies` and `linalg` are imported by the functions that run them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import cmp_to_key
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import io
-from .coefficients import DenominatorSet, LocalizedRing, ParamPolynomial, PolynomialRing
 from .division import StandardBasis, complete_to_standard_basis
 from .errors import PreconditionError, SchemaError, VanishingDenominatorError
 from .exponents import (
@@ -36,59 +36,13 @@ from .exponents import (
     compare_diagrams,
     iter_alphas,
 )
+from .io import ParamModule
 from .rationals import QQ
 from .series import TruncatedSeries
 
 if TYPE_CHECKING:
+    from .coefficients import ParamPolynomial
     from .syzygies import RelationPresentation
-
-
-class _ParamModuleFields(NamedTuple):
-    order: StandardOrder
-    generators: tuple[TruncatedSeries, ...]
-    param_names: tuple[str, ...]
-    denominator_seed: tuple[ParamPolynomial, ...] = ()
-
-
-class ParamModule(_ParamModuleFields):
-    """A tuple of series generators with polynomial parameter coefficients."""
-
-    __slots__ = ()
-
-    def __new__(cls, order, generators, param_names, denominator_seed=()):
-        if not generators:
-            raise PreconditionError("family needs at least one generator")
-        first = generators[0]
-        for g in generators:
-            first._check(g)
-            if g.is_zero:
-                raise PreconditionError("zero generator in parametrized family")
-        return tuple.__new__(cls, (order, generators, param_names, denominator_seed))
-
-    @property
-    def n(self) -> int:
-        return self.generators[0].n
-
-    @property
-    def p(self) -> int:
-        return self.generators[0].p
-
-    @property
-    def trunc(self) -> int:
-        return self.generators[0].trunc
-
-    def localized(self) -> tuple[LocalizedRing, list[TruncatedSeries]]:
-        """Fresh localized ring plus the generators lifted into it."""
-        base = PolynomialRing(self.param_names)
-        dset = DenominatorSet(self.param_names, seed=self.denominator_seed)
-        ring = LocalizedRing(base, dset)
-        if isinstance(self.generators[0].ring, LocalizedRing):
-            raise PreconditionError(
-                "family generators must carry polynomial coefficients; "
-                "denominators belong in the denominator seed"
-            )
-        gens = [g.map_coefficients(ring.from_poly, ring) for g in self.generators]
-        return ring, gens
 
 
 def specialize(pm: ParamModule, point: Sequence[Fraction]) -> list[TruncatedSeries]:
@@ -536,7 +490,7 @@ def semicontinuity_report_to_json(report: SemicontinuityReport) -> dict:
         "genericity_ok": report.genericity_ok,
         "points": _records_to_json(report.records, lambda rec: {
             "vertices": io.diagram_to_json(rec.diagram),
-            "comparison": io.ordering_to_str(rec.comparison),
+            "comparison": rec.comparison.name.lower(),
             "certificates_nonzero": list(rec.certificates_nonzero),
         }),
         "census": _census_to_json(report.census),
@@ -564,13 +518,13 @@ def relations_check_report_to_json(report: RelationsCheckReport) -> dict:
     }
 
 
-def specialize_payload(pm: ParamModule, at: str, names, hashes) -> dict:
+def specialize_payload(pm: ParamModule, at: str, hashes) -> dict:
     """The `specialize` result: the named generators at the point `at`."""
     point = _parse_point(at, len(pm.param_names))
     hashes["point"] = io.hash_bytes(at.encode())
     return {
         "point": point_to_json(point),
-        "series": io.named_series_to_json(names, specialize(pm, point), pm.order),
+        "series": io.named_series_to_json(pm.series_names, specialize(pm, point), pm.order),
     }
 
 

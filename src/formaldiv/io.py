@@ -1,14 +1,14 @@
-"""JSON file formats and deterministic serialization.
+"""JSON file formats, the module record, and deterministic serialization.
 
 A module file declares the ambient space, truncation degree, order weights,
 optional parameter names and denominator seeds, and named series given term
-by term with coefficient expressions.  Result files echo a hash of their
-inputs and carry an operation-specific payload; identical inputs must yield
-byte-identical result files, so nothing time- or environment-dependent is
-written unless explicitly requested.
-Only the shapes all results share live here (coefficients, series,
-diagrams); family points files and reports are in `families`, and relation
-presentations in `syzygies`.
+by term with coefficient expressions.  It is read into a `LoadedModule`; a
+family is the same record checked, `ParamModule`.  Result files echo a hash
+of their inputs and carry an operation-specific payload; identical inputs
+give byte-identical files, so nothing time- or environment-dependent is
+written unless explicitly requested.  Only the shapes all results share
+live here (coefficients, series, diagrams); family points files and reports
+are in `families`, and relation presentations in `syzygies`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import __version__
-from .errors import ExpressionError, SchemaError
-from .exponents import Diagram, ModExponent, Ordering, PositiveLinearForm, StandardOrder
+from .errors import ExpressionError, PreconditionError, SchemaError
+from .exponents import Diagram, ModExponent, PositiveLinearForm, StandardOrder
 from .rationals import QQ
 from .series import TruncatedSeries
 
@@ -34,7 +34,7 @@ except ImportError:
         from hashlib import sha256
 
 if TYPE_CHECKING:
-    from .coefficients import ParamPolynomial
+    from .coefficients import LocalizedRing, ParamPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -42,35 +42,64 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 class LoadedModule(NamedTuple):
-    """A validated module file: order, ring, and named series in file order."""
+    """A module as its file declares it: the order, the series in file order
+    with their names and, for a family, the parameter names and the
+    denominator seed.  Reading a file checks its schema only; the checks a
+    family needs run when `param_module` builds one."""
 
-    n: int
-    p: int
-    trunc: int
     order: StandardOrder
-    param_names: tuple[str, ...]
-    denominator_seed: tuple[ParamPolynomial, ...]
-    series_names: tuple[str, ...]
-    series: dict[str, TruncatedSeries]
+    generators: tuple[TruncatedSeries, ...]
+    param_names: tuple[str, ...] = ()
+    denominator_seed: tuple[ParamPolynomial, ...] = ()
+    series_names: tuple[str, ...] = ()
+
+    # the ambient, as the generators share it
+    n = property(lambda self: self.generators[0].n)
+    p = property(lambda self: self.generators[0].p)
+    trunc = property(lambda self: self.generators[0].trunc)
 
     @property
-    def is_parametric(self) -> bool:
-        return bool(self.param_names)
+    def series(self) -> dict[str, TruncatedSeries]:
+        return dict(zip(self.series_names, self.generators))
 
-    def generators(self) -> list[TruncatedSeries]:
-        return [self.series[name] for name in self.series_names]
-
-    def param_module(self):
-        """The family the file declares, as a `families.ParamModule`."""
-        if not self.is_parametric:
+    def param_module(self) -> ParamModule:
+        """The family the file declares, checked as a `ParamModule`."""
+        if not self.param_names:
             raise SchemaError("module file declares no parameters")
-        from .families import ParamModule
-        return ParamModule(
-            order=self.order,
-            generators=tuple(self.generators()),
-            param_names=self.param_names,
-            denominator_seed=self.denominator_seed,
-        )
+        return ParamModule(*self)
+
+
+class ParamModule(LoadedModule):
+    """A family: nonzero series generators over one ambient and ring, with
+    polynomial coefficients in the parameters."""
+
+    __slots__ = ()
+
+    def __new__(cls, order, generators, param_names, denominator_seed=(),
+                series_names=()):
+        if not generators:
+            raise PreconditionError("family needs at least one generator")
+        first = generators[0]
+        for g in generators:
+            first._check(g)
+            if g.is_zero:
+                raise PreconditionError("zero generator in parametrized family")
+        return super().__new__(cls, order, generators, param_names, denominator_seed,
+                               series_names)
+
+    def localized(self) -> tuple[LocalizedRing, list[TruncatedSeries]]:
+        """Fresh localized ring plus the generators lifted into it."""
+        from .coefficients import DenominatorSet, LocalizedRing, PolynomialRing
+        base = PolynomialRing(self.param_names)
+        dset = DenominatorSet(self.param_names, seed=self.denominator_seed)
+        ring = LocalizedRing(base, dset)
+        if isinstance(self.generators[0].ring, LocalizedRing):
+            raise PreconditionError(
+                "family generators must carry polynomial coefficients; "
+                "denominators belong in the denominator seed"
+            )
+        gens = [g.map_coefficients(ring.from_poly, ring) for g in self.generators]
+        return ring, gens
 
 
 def _expect(cond, path, message):
@@ -151,14 +180,13 @@ def load_module_data(data, source="module") -> LoadedModule:
     series_raw = data.get("series", [])
     _expect(isinstance(series_raw, list) and series_raw,
             f"{source}.series", "expected a nonempty list")
-    names = []
-    series = {}
+    names, generators = [], []
     for si, entry in enumerate(series_raw):
         path = f"{source}.series[{si}]"
         _expect(isinstance(entry, dict), path, "expected an object")
         name = entry.get("name", f"F{si + 1}")
         _expect(isinstance(name, str) and name, f"{path}.name", "expected a name")
-        _expect(name not in series, f"{path}.name", f"duplicate series name {name!r}")
+        _expect(name not in names, f"{path}.name", f"duplicate series name {name!r}")
         terms_raw = entry.get("terms", [])
         _expect(isinstance(terms_raw, list), f"{path}.terms", "expected a list")
         terms = {}
@@ -186,16 +214,10 @@ def load_module_data(data, source="module") -> LoadedModule:
             if e in terms:
                 raise SchemaError(f"{tpath}: duplicate exponent {exp} in {name!r}")
             terms[e] = coeff
-        series[name] = TruncatedSeries(n, p, trunc, ring, terms)
+        generators.append(TruncatedSeries(n, p, trunc, ring, terms))
         names.append(name)
 
-    return LoadedModule(
-        n=n, p=p, trunc=trunc, order=order,
-        param_names=param_names,
-        denominator_seed=tuple(seed),
-        series_names=tuple(names),
-        series=series,
-    )
+    return LoadedModule(order, tuple(generators), param_names, tuple(seed), tuple(names))
 
 
 def load_json(path) -> tuple[str, object]:
@@ -221,22 +243,14 @@ def parse_module_file(path) -> LoadedModule:
 # ---------------------------------------------------------------------------
 
 def coeff_to_json(c):
-    if isinstance(c, Fraction):
+    """A coefficient as it prints, or a fraction with a denominator as its
+    numerator and the powers of the denominator generators it divides by."""
+    if not getattr(c, "powers", None):
         return str(c)
-    from .coefficients import LocalizedFraction, ParamPolynomial, format_coefficient
-    if isinstance(c, ParamPolynomial):
-        return format_coefficient(c)
-    if isinstance(c, LocalizedFraction):
-        if not c.powers:
-            return format_coefficient(c.num)
-        return {
-            "num": format_coefficient(c.num),
-            "den": [
-                [format_coefficient(c.dset.generators[i]), k]
-                for i, k in sorted(c.powers.items())
-            ],
-        }
-    raise SchemaError(f"cannot serialize coefficient {c!r}")
+    return {
+        "num": str(c.num),
+        "den": [[str(c.dset.generators[i]), k] for i, k in sorted(c.powers.items())],
+    }
 
 
 def series_to_json(s: TruncatedSeries, order) -> list:
@@ -253,17 +267,8 @@ def named_series_to_json(names, series_list, order) -> list:
     ]
 
 
-def vertex_to_json(v: ModExponent) -> list:
-    return [list(v.alpha), v.comp]
-
-
 def diagram_to_json(d: Diagram) -> list:
-    return [vertex_to_json(v) for v in d.vertices]
-
-
-def ordering_to_str(o: Ordering) -> str:
-    return {Ordering.LESS: "less", Ordering.EQUAL: "equal",
-            Ordering.GREATER: "greater"}[o]
+    return [[list(v.alpha), v.comp] for v in d.vertices]
 
 
 # ---------------------------------------------------------------------------

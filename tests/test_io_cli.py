@@ -53,6 +53,15 @@ def test_parse_weighted_module():
     assert init.exponent == ModExponent((0, 1), 1)
 
 
+def test_family_is_the_checked_module_record():
+    mod = io.parse_module_file(fx("family_pivot.json"))
+    pm = mod.param_module()
+    assert type(mod) is io.LoadedModule and isinstance(pm, io.LoadedModule)
+    assert tuple(pm) == tuple(mod)
+    assert (pm.n, pm.p, pm.trunc, pm.series_names) == (1, 1, 4, ("Phi",))
+    assert pm.series == {"Phi": mod.generators[0]}
+
+
 def test_parse_rejects_term_beyond_horizon():
     with pytest.raises(SchemaError):
         io.parse_module_file(fx("bad_degree.json"))
@@ -386,6 +395,57 @@ def test_exit_code_precondition():
         "--module", fx("module_zero_series.json"),
         "--dividend", fx("module_zero_series.json"),
     ) == 3
+
+
+# -- where the family checks run ----------------------------------------------------------
+#
+# A module file is read without the checks a family needs; they run when a
+# command takes the file's family, so a dividend may be zero and a family
+# with a zero series fails before any point option is parsed.
+
+def _write_module(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("module, params", [
+    ("module_unit.json", []),
+    ("family_pivot.json", ["xi1"]),
+])
+def test_zero_dividend_is_accepted(tmp_path, module, params):
+    ambient = json.loads((FIXTURES / module).read_text())
+    zero = _write_module(tmp_path, "zero.json", {
+        "n": ambient["n"], "p": ambient["p"], "D": ambient["D"],
+        "parameters": params, "series": [{"name": "G", "terms": []}],
+    })
+    payload = run_json(tmp_path, "divide", "--module", fx(module),
+                       "--dividend", zero)["payload"]
+    assert payload["remainder"] == []
+
+
+def _family_with_zero_series(tmp_path):
+    data = json.loads((FIXTURES / "family_pivot.json").read_text())
+    data["series"].append({"name": "Zero", "terms": []})
+    return _write_module(tmp_path, "family_zero.json", data)
+
+
+@pytest.mark.parametrize("argv", [
+    ("divide", "--dividend", fx("dividend_param.json")),
+    ("std-basis",),
+    ("specialize", "--at", "x"),
+    ("semicont-scan", "--grid", "bad"),
+])
+def test_family_with_a_zero_series_fails_its_check_first(tmp_path, capsys, argv):
+    module = _family_with_zero_series(tmp_path)
+    assert run(argv[0], "--module", module, *argv[1:]) == 3
+    assert "zero generator in parametrized family" in capsys.readouterr().err
+
+
+def test_family_check_runs_after_the_dividend_is_read(tmp_path):
+    module = _family_with_zero_series(tmp_path)
+    assert run("divide", "--module", module,
+               "--dividend", str(tmp_path / "missing.json")) == 2
 
 
 @pytest.mark.parametrize("term", [

@@ -91,6 +91,8 @@ def test_rational_divide_loads_a_bounded_amount_of_source(tmp_path):
         "cli", "io", "errors", "rationals", "exponents", "series", "division",
     }
     assert source_lines(names) <= RATIONAL_DIVIDE_LINE_BUDGET
+    # what it loaded when the module record and the family type were merged
+    assert source_lines(names) <= 1759
 
 
 def test_semicont_scan_loads_no_relation_code(tmp_path):
@@ -129,6 +131,16 @@ def test_parametric_divide_loads_coefficients(tmp_path):
         "--out", str(tmp_path / "r.json"),
     )))
     assert "coefficients" in mods
+
+
+@pytest.mark.parametrize("command", ["std-basis", "relations"])
+def test_parametric_call_loads_no_family_code(tmp_path, command):
+    mods = formaldiv_modules(loaded_after(cli_call(
+        command, "--module", str(FIXTURES / "family_pivot.json"),
+        "--out", str(tmp_path / "r.json"),
+    )))
+    assert "coefficients" in mods
+    assert "families" not in mods
 
 
 # -- package namespace ---------------------------------------------------------
