@@ -1,5 +1,6 @@
 """Pinned CLI bytes: the sha256 of stdout and of stderr and the exit code of
-every fixture command, as recorded in ``fixtures/cli_golden.json``.
+every fixture command, of the help texts and of the usage errors, as
+recorded in ``fixtures/cli_golden.json``.
 
 Identical inputs must give byte-identical results, including after a kernel
 is rewritten.  Over a localized ring this is not automatic: fractions are
@@ -38,6 +39,12 @@ GRIDS = {
     "family_defect.json": "t:-3..3",
     "family_xi.json": "t:-2..2",
 }
+SUBCOMMANDS = (
+    "divide", "diagram", "std-basis", "membership", "syzygy", "relations",
+    "compare-diagrams", "specialize", "semicont-scan", "relations-check",
+)
+# argparse wraps help and usage text to the terminal width
+COLUMNS = "80"
 
 
 def commands():
@@ -61,6 +68,19 @@ def commands():
         yield ["semicont-scan", *base, "--points", "points_basic.json"]
         yield ["semicont-scan", *base, "--seed", "5", "--count", "6"]
         yield ["relations-check", *base, "--grid", grid]
+    yield ["--help"]
+    for command in SUBCOMMANDS:
+        yield [command, "--help"]
+    # usage errors, each exit 2
+    yield []
+    yield ["frobnicate", "--module", "module_unit.json"]
+    yield ["divide", "--module", "module_unit.json"]
+    yield ["diagram", "--module", "module_unit.json", "--format", "xml"]
+    yield ["semicont-scan", "--module", "family_pivot.json", "--seed", "5", "--count", "x"]
+    yield ["diagram", "--module", "module_unit.json", "--frobnicate"]
+    yield ["diagram", "--module"]
+    yield ["semicont-scan", "--module", "family_pivot.json", "--grid", "xi1:-2..2",
+           "--seed", "5"]
 
 
 def _digest(text):
@@ -71,13 +91,18 @@ def run_captured(argv):
     """The golden entry of one CLI call run in the fixture folder: its exit
     code and the sha256 of its stdout and of its stderr."""
     out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(FIXTURES)
+    os.environ["COLUMNS"] = COLUMNS
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run_command(list(argv))
     finally:
         os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return {"exit": code, "sha256": _digest(out.getvalue()),
             "stderr_sha256": _digest(err.getvalue())}
 
