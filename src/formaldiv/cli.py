@@ -5,73 +5,63 @@ Exit codes: 0 success, 2 parse/schema error, 3 precondition violation,
 1 internal invariant failure (always a bug).
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
 import time
 
 from . import io
 from .division import canonicalize, complete_to_standard_basis, hironaka_divide, is_member
-from .errors import (
-    DegeneracyError,
-    EngineError,
-    PreconditionError,
-    SchemaError,
-)
+from .errors import DegeneracyError, EngineError, PreconditionError, SchemaError
 from .exponents import compare_diagrams
 
 # families and syzygies are imported by the subcommands that run them.
 
+# The subcommand table: each command's options in argparse's order, read by
+# `_read_args` and, for help and usage errors, built into a parser by `_usage`.
+# Options take a string unless they are flags or ints; --format json or text.
+_REQUIRED = ("module", "dividend", "other", "at")
+_FLAGS = ("canonical", "timing", "refine")
+_INTS = ("seed", "count")
+_FORMATS = ("json", "text")
+_POINT_SOURCES = ("points", "grid", "seed")  # at most one
+_OUTPUT = ("out", "format", "timing")
+_POINTS = (*_POINT_SOURCES, "count")
+_COMMANDS = {
+    "divide": ("module", "dividend", *_OUTPUT), "diagram": ("module", *_OUTPUT),
+    "std-basis": ("module", "canonical", *_OUTPUT),
+    "membership": ("module", "dividend", *_OUTPUT),
+    "syzygy": ("module", *_OUTPUT), "relations": ("module", *_OUTPUT),
+    "compare-diagrams": ("module", "other", *_OUTPUT), "specialize": ("module", "at", *_OUTPUT),
+    "semicont-scan": ("module", *_POINTS, *_OUTPUT, "refine"),
+    "relations-check": ("module", *_POINTS, *_OUTPUT),
+}
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="formaldiv",
-        description="exact division engine for truncated power series modules",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, *, dividend=False, other=False, points=False, at=False,
-            canonical=False):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--module", required=True, help="module file (JSON)")
-        if dividend:
-            p.add_argument("--dividend", required=True, help="dividend file (JSON)")
-        if other:
-            p.add_argument("--other", required=True, help="second module file")
-        if at:
-            p.add_argument("--at", required=True,
-                           help="comma-separated rational parameter values")
-        if points:
-            source = p.add_mutually_exclusive_group()
-            source.add_argument("--points", help="points file (JSON)")
-            source.add_argument("--grid", help="grid spec, e.g. 'xi1:-2..2'")
-            source.add_argument("--seed", type=int, help="seed for random sample points")
-            p.add_argument("--count", type=int,
-                           help="number of random sample points (with --seed)")
-        if canonical:
-            p.add_argument("--canonical", action="store_true",
-                           help="emit the canonical basis")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--timing", action="store_true",
-                       help="record wall time (breaks byte-determinism)")
-        return p
-
-    add("divide", "divide a series by the module generators", dividend=True)
-    add("diagram", "staircase diagram of the module")
-    add("std-basis", "standard basis of the module", canonical=True)
-    add("membership", "membership test with division witness", dividend=True)
-    add("syzygy", "distinguished relations of the standard basis")
-    add("relations", "generating relations of the given generators")
-    add("compare-diagrams", "compare the diagrams of two modules", other=True)
-    add("specialize", "evaluate a parametrized module at a point", at=True)
-    scan = add("semicont-scan", "diagram census over sample points", points=True)
-    scan.add_argument("--refine", action="store_true",
-                      help="also scan the half-step refinement of the grid")
-    add("relations-check", "verify specialized relations generate", points=True)
-    return parser
+def _read_args(argv):
+    """argparse's namespace for a well-formed command line, as a dict; None for
+    help, usage errors and rarer forms (abbreviations, --opt=value, "-" values)."""
+    names = _COMMANDS.get(argv[0]) if argv else None
+    if names is None:
+        return None
+    args = {**{name: False if name in _FLAGS else None for name in names}, "format": "json"}
+    tokens = iter(argv[1:])
+    for token in tokens:  # a repeated option keeps its last value, as in argparse
+        name = token[2:]
+        if token[:2] != "--" or name not in names:
+            return None
+        if name in _FLAGS:
+            args[name] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines as "-" does
+        if value[:1] == "-" or name == "format" and value not in _FORMATS:
+            return None
+        try:
+            args[name] = int(value) if name in _INTS else value
+        except ValueError:
+            return None
+    missing = any(args[name] is None for name in names if name in _REQUIRED)
+    sources = sum(args.get(name) is not None for name in _POINT_SOURCES)
+    return None if missing or sources > 1 else {"command": argv[0], **args}
 
 
 def _prepare(mod):
@@ -90,7 +80,7 @@ def _load_module(path, hashes, key):
 def _load_dividend(args, mod, hashes):
     """The module's generators over the working ring, and the dividend file's
     one series lifted into that ring."""
-    div = _load_module(args.dividend, hashes, "dividend")
+    div = _load_module(args["dividend"], hashes, "dividend")
     if (div.n, div.p, div.trunc) != (mod.n, mod.p, mod.trunc):
         raise SchemaError(
             f"dividend ambient ({div.n},{div.p},D={div.trunc}) differs from "
@@ -119,11 +109,6 @@ def _diagram(mod):
     return complete_to_standard_basis(mod.order, mod.generators).diagram, None
 
 
-def _point_options(args):
-    """The point-source options, as the keywords the families payloads take."""
-    return {key: getattr(args, key) for key in ("points", "grid", "seed", "count")}
-
-
 def _division_to_json(res, order):
     """The quotients Q1, Q2, ... and the remainder of a division."""
     names = [f"Q{i + 1}" for i in range(len(res.quotients))]
@@ -133,13 +118,13 @@ def _division_to_json(res, order):
 
 def _dispatch(args):
     hashes = {}
-    mod = _load_module(args.module, hashes, "module")
+    mod = _load_module(args["module"], hashes, "module")
     return _payload(args, mod, hashes), hashes
 
 
 def _payload(args, mod, hashes):
     """The result of args.command; input digests go into hashes."""
-    order, command = mod.order, args.command
+    order, command = mod.order, args["command"]
 
     if command == "divide":
         gens, dividend = _load_dividend(args, mod, hashes)
@@ -160,7 +145,7 @@ def _payload(args, mod, hashes):
 
     if command == "std-basis":
         basis = complete_to_standard_basis(order, _prepare(mod))
-        if args.canonical:
+        if args["canonical"]:
             basis = canonicalize(basis)
         return {
             "truncation_degree": mod.trunc,
@@ -192,7 +177,7 @@ def _payload(args, mod, hashes):
         return relations_payload(order, _prepare(mod))
 
     if command == "compare-diagrams":
-        other = _load_module(args.other, hashes, "other")
+        other = _load_module(args["other"], hashes, "other")
         d1, d2 = _diagram(mod)[0], _diagram(other)[0]
         return {
             "left_vertices": io.diagram_to_json(d1),
@@ -202,26 +187,28 @@ def _payload(args, mod, hashes):
 
     if command == "specialize":
         from .families import specialize_payload
-        return specialize_payload(mod.param_module(), args.at, hashes)
+        return specialize_payload(mod.param_module(), args["at"], hashes)
 
     if command == "semicont-scan":
         from .families import scan_payload
-        return scan_payload(mod.param_module(), hashes, refine=args.refine,
-                            **_point_options(args))
+        return scan_payload(mod.param_module(), hashes, refine=args["refine"],
+                            **{key: args[key] for key in _POINTS})
 
     if command == "relations-check":
         from .families import relations_check_payload
-        return relations_check_payload(mod.param_module(), hashes, **_point_options(args))
-
-    raise SchemaError(f"unknown command {command!r}")
+        return relations_check_payload(mod.param_module(), hashes,
+                                       **{key: args[key] for key in _POINTS})
 
 
 def run_command(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_args(argv)
+    if args is None:  # help or a usage error: argparse writes those
+        from ._usage import parse_args
+        try:
+            args = parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     started = time.monotonic()
     try:
         payload, hashes = _dispatch(args)
@@ -237,11 +224,11 @@ def run_command(argv=None) -> int:
     except EngineError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    wall = time.monotonic() - started if args.timing else None
-    result = io.build_result(args.command, hashes, payload, wall)
-    data = io.emit_result(result, args.format)
-    if args.out:
-        io.write_atomic(args.out, data)
+    wall = time.monotonic() - started if args["timing"] else None
+    result = io.build_result(args["command"], hashes, payload, wall)
+    data = io.emit_result(result, args["format"])
+    if args["out"]:
+        io.write_atomic(args["out"], data)
     else:
         sys.stdout.write(data.decode())
     return 0

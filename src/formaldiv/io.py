@@ -17,6 +17,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import __version__
@@ -312,10 +313,24 @@ def _render_text_value(value, indent=0):
     return lines
 
 
+def _json_text(value, newline="\n"):
+    """json.dumps(value, indent=2) for dicts with string keys, without json's
+    pure-Python indenting encoder; newline breaks and indents at value's depth."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return int.__repr__(value) if type(value) is int else json.dumps(value)
+
+
 def emit_result(result: dict, fmt: str = "json") -> bytes:
     """Deterministic bytes for a result; text is a human-readable mirror."""
     if fmt == "json":
-        return (json.dumps(result, indent=2, sort_keys=False) + "\n").encode()
+        return (_json_text(result) + "\n").encode()
     if fmt == "text":
         header = f"formaldiv result: {result['operation']}"
         lines = [header, "=" * len(header)]

@@ -24,6 +24,14 @@ the target diagram of both greedy passes (over the generators and over the
 basis), and the completion that accepted a pass's last drop is the basis of
 its survivors, through which the dropped series are expressed.
 
+Over the rationals, the products that pull the relations back (the dot
+products of U and of the subset expressions, every eta + Xi*zeta and every
+adj(U)*v) run on an integer work form, `_RationalWork`; each output
+coefficient is reduced once.  Rationals print canonically, so the order of
+that summation cannot show.  The parametric rings keep the series operators
+and their left-to-right order, which fixes how their unreduced fractions
+print.
+
 The `syzygy` and `relations` results are shaped as JSON here, so a call that
 computes no relations loads none of it.
 """
@@ -31,6 +39,7 @@ computes no relations loads none of it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import io
@@ -56,6 +65,7 @@ from .exponents import (
     diagram_from_exponents,
     syzygy_order_for,
 )
+from .rationals import QQ
 from .series import TruncatedSeries, _dot
 
 if TYPE_CHECKING:
@@ -223,6 +233,99 @@ def _det_adj(m, one):
     return det(full, full), adj
 
 
+class _RationalWork:
+    """The rationals' work form for one presentation's products.
+
+    A one-component series is a list of (index, numerator) pairs sorted by
+    index, over one denominator shared by the whole matrix or vector it was
+    packed with.  The index of x^alpha is mixed-radix with radix R = D + 1
+    and the degree as its top digit, deg(alpha)*R^n + sum alpha_k*R^(k-1):
+    no digit of a product that stays within degree D carries, so indices
+    add as exponents do, and a product term is kept iff its index is below
+    (D + 1)*R^n.  Products are summed as ints, and each output coefficient
+    is reduced once.
+    """
+
+    def __init__(self, n, trunc):
+        self.n, self.trunc = n, trunc
+        self.radix = trunc + 1
+        self.limit = self.radix ** (n + 1)
+        self.alphas = {}  # index -> alpha, for every index packed or built
+
+    def index(self, alpha):
+        idx = sum(alpha)
+        for a in reversed(alpha):
+            idx = idx * self.radix + a
+        self.alphas[idx] = alpha
+        return idx
+
+    def alpha(self, idx):
+        alpha = self.alphas.get(idx)
+        if alpha is None:
+            digits, rest = [], idx
+            for _ in range(self.n):
+                rest, a = divmod(rest, self.radix)
+                digits.append(a)
+            alpha = self.alphas[idx] = tuple(digits)
+        return alpha
+
+    def _components(self, s, den):
+        """The p components of s, each as sorted (index, numerator) pairs
+        over den."""
+        comps = [[] for _ in range(s.p)]
+        for e, c in s.terms.items():
+            comps[e.comp - 1].append((self.index(e.alpha), c.numerator * (den // c.denominator)))
+        for comp in comps:
+            comp.sort()
+        return comps
+
+    def pack(self, rows):
+        """One denominator for a matrix of one-component series, and its
+        entries packed over it."""
+        den = lcm(*(c.denominator for row in rows for s in row for c in s.terms.values()))
+        return den, [[self._components(s, den)[0] for s in row] for row in rows]
+
+    def pack_vector(self, s):
+        """One denominator for a p-component series, and its components
+        packed over it."""
+        den = lcm(*(c.denominator for c in s.terms.values()))
+        return den, self._components(s, den)
+
+    def dot(self, pairs, acc=None):
+        """acc (index -> int, or a new dict) plus the products of the packed
+        pairs, truncated at degree D."""
+        acc = {} if acc is None else acc
+        limit = self.limit
+        for a, b in pairs:
+            for i, x in a:
+                room = limit - i
+                for j, y in b:
+                    if j >= room:
+                        break
+                    k = i + j
+                    acc[k] = acc.get(k, 0) + x * y
+        return acc
+
+    @staticmethod
+    def scaled(packed, factor):
+        return {i: x * factor for i, x in packed}
+
+    @staticmethod
+    def packed(acc):
+        return sorted(item for item in acc.items() if item[1])
+
+    def terms(self, acc, den, comp=1, out=None):
+        """The nonzero entries of acc over den, as series terms in slot comp."""
+        out = {} if out is None else out
+        for idx, x in acc.items():
+            if x:
+                out[ModExponent(self.alpha(idx), comp)] = Fraction(x, den)
+        return out
+
+    def series(self, acc, den):
+        return TruncatedSeries(self.n, 1, self.trunc, QQ, self.terms(acc, den))
+
+
 class RelationPresentation(NamedTuple):
     """Generators of the relation module of an arbitrary generator list.
 
@@ -257,7 +360,7 @@ class RelationPresentation(NamedTuple):
         return c.num if isinstance(c, LocalizedFraction) else c
 
 
-def _express_in_subset(order, survivors, m, dropped):
+def _express_in_subset(order, survivors, m, dropped, work):
     """m x len(dropped) matrix whose column l expresses dropped[l] in the m
     kept series, read through the provenance of their standard basis
     survivors (None when nothing was dropped); valid modulo degree > trunc.
@@ -272,10 +375,57 @@ def _express_in_subset(order, survivors, m, dropped):
             )
         quotients.append(res.quotients)
     prov = survivors.provenance if dropped else ()
+    if work is not None:
+        (dq, qs), (dp, pv) = work.pack(quotients), work.pack(prov)
+        return [
+            [work.series(work.dot((qj, pj[i]) for qj, pj in zip(row, pv)), dq * dp)
+             for row in qs]
+            for i in range(m)
+        ]
     return [
         [_dot((qj, pv[i]) for qj, pv in zip(qs, prov)) for qs in quotients]
         for i in range(m)
     ]
+
+
+def _pull_back(p_rels, xi, u_adj, perm_phi, q):
+    """The nonzero adj(U)*(eta + Xi*zeta) of each basis relation (eta its
+    first m entries, zeta the rest), placed in the generators' slots."""
+    m = len(xi)
+    relations = []
+    for p_rel in p_rels:
+        r = p_rel.p
+        eta = [p_rel.component(i + 1) for i in range(m)]
+        zeta = [p_rel.component(m + l + 1) for l in range(r - m)]
+        v = []
+        for i in range(m):
+            acc = eta[i]
+            for l in range(r - m):
+                acc = acc + xi[i][l].mul_series(zeta[l])
+            v.append(acc)
+        rel = TruncatedSeries.zero(p_rel.n, q, p_rel.trunc, p_rel.ring)
+        for i in range(m):
+            rel = rel + _dot(zip(u_adj[i], v)).embed(perm_phi[i] + 1, q)
+        if not rel.is_zero:
+            relations.append(rel)
+    return relations
+
+
+def _pull_back_rationals(work, p_rels, dx, xp, u_adj, perm_phi, q):
+    """`_pull_back` on the work form, with Xi packed over dx."""
+    m = len(xp)
+    da, ap = work.pack(u_adj)
+    relations = []
+    for p_rel in p_rels:
+        dr, comps = work.pack_vector(p_rel)
+        v = [work.packed(work.dot(zip(xp[i], comps[m:]), work.scaled(comps[i], dx)))
+             for i in range(m)]
+        terms = {}
+        for i in range(m):
+            work.terms(work.dot(zip(ap[i], v)), da * dx * dr, perm_phi[i] + 1, terms)
+        if terms:
+            relations.append(TruncatedSeries(work.n, q, work.trunc, QQ, terms))
+    return relations
 
 
 def relations_of_generators(
@@ -297,6 +447,7 @@ def relations_of_generators(
 
     basis = complete_to_standard_basis(order, gens)
     r = len(basis.elements)
+    work = _RationalWork(n, trunc) if ring == QQ else None
 
     keep_phi, kept_gens = _greedy_subset(order, gens, basis.diagram)
     keep_psi, kept_elements = _greedy_subset(order, basis.elements, basis.diagram)
@@ -313,9 +464,12 @@ def relations_of_generators(
     elements_perm = [basis.elements[t] for t in perm_psi]
 
     # Xi: dropped basis elements in terms of the kept ones (m x (r-m))
-    xi = _express_in_subset(order, kept_elements, m, [basis.elements[t] for t in rest_psi])
+    xi = _express_in_subset(order, kept_elements, m, [basis.elements[t] for t in rest_psi],
+                            work)
     # Theta: dropped generators in terms of the kept ones (m x (q-m))
-    theta = _express_in_subset(order, kept_gens, m, [gens[t] for t in rest_phi])
+    theta = _express_in_subset(order, kept_gens, m, [gens[t] for t in rest_phi], work)
+    if work is not None:
+        dx, xp = work.pack(xi)
 
     # T: kept generators through the full (permuted) basis (r x m)
     t_matrix = [[None] * m for _ in range(r)]
@@ -328,7 +482,15 @@ def relations_of_generators(
 
     # U = T_top + Xi * T_bottom, an m x m change of generators
     u_matrix = t_matrix[:m]
-    if rest_psi:
+    if rest_psi and work is not None:
+        dt, tp = work.pack(t_matrix)
+        u_matrix = [
+            [work.series(work.dot(((x, t[j]) for x, t in zip(xi_row, tp[m:])),
+                                  work.scaled(tp[i][j], dx)), dx * dt)
+             for j in range(m)]
+            for i, xi_row in enumerate(xp)
+        ]
+    elif rest_psi:
         t_bot = t_matrix[m:]
         u_matrix = [
             [u + _dot((x, t[j]) for x, t in zip(xi_row, t_bot)) for j, u in enumerate(row)]
@@ -344,21 +506,10 @@ def relations_of_generators(
 
     p_rels = _relations_core(order, elements_perm)[2]
 
-    relations = []
-    for p_rel in p_rels:
-        eta = [p_rel.component(i + 1) for i in range(m)]
-        zeta = [p_rel.component(m + l + 1) for l in range(r - m)]
-        v = []
-        for i in range(m):
-            acc = eta[i]
-            for l in range(r - m):
-                acc = acc + xi[i][l].mul_series(zeta[l])
-            v.append(acc)
-        rel = TruncatedSeries.zero(n, q, trunc, ring)
-        for i in range(m):
-            rel = rel + _dot(zip(u_adj[i], v)).embed(perm_phi[i] + 1, q)
-        if not rel.is_zero:
-            relations.append(rel)
+    if work is None:
+        relations = _pull_back(p_rels, xi, u_adj, perm_phi, q)
+    else:
+        relations = _pull_back_rationals(work, p_rels, dx, xp, u_adj, perm_phi, q)
     for l, orig in enumerate(rest_phi):
         rel = TruncatedSeries.monomial(
             ModExponent((0,) * n, orig + 1), ring.one, n, q, trunc, ring
