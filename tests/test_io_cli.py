@@ -1,3 +1,5 @@
+import contextlib
+import io as _stdio
 import itertools
 import json
 import os
@@ -8,10 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formaldiv import ModExponent, QQ, TruncatedSeries, parse_coefficient
-from formaldiv import cli, io
+from formaldiv import _usage, cli, io
 from formaldiv.errors import InvariantError, SchemaError
+from test_cli_golden import commands as golden_commands
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -360,6 +364,70 @@ def test_cli_point_sources_are_exclusive(capsys, command, sources):
     assert capsys.readouterr().out == ""
 
 
+# -- reading the command line --------------------------------------------------------
+
+def argparse_args(argv):
+    """vars() of argparse's namespace for argv, or None where argparse ends
+    the call (help, usage errors)."""
+    with contextlib.redirect_stdout(_stdio.StringIO()), \
+            contextlib.redirect_stderr(_stdio.StringIO()):
+        try:
+            return _usage.parse_args(list(argv))
+        except SystemExit:
+            return None
+
+
+VALUES = ("m.json", "", "a b", "5", "-3", " 7 ", "0x10", "1_0", "x", "json", "text", "xml",
+          "-x", "--", "--module", "-h")
+NOISE = ("--", "-h", "--help", "--frobnicate", "stray", "-5", "--module", "--seed", "--timing")
+
+
+@st.composite
+def command_lines(draw):
+    """Command lines from the subcommand table, some well-formed, some with
+    abbreviations, --opt=value, repeats, '--', '-'-led values, unknown
+    tokens or missing values."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", "--help"]))
+    argv = [command]
+    names = cli._COMMANDS.get(command, ("module",))
+    for name in draw(st.permutations(names)):
+        if name not in cli._REQUIRED and draw(st.booleans()):
+            continue
+        flag = f"--{name}"
+        form = draw(st.sampled_from(["plain"] * 8 + ["abbrev", "equals", "repeat"]))
+        if form == "abbrev":
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        if name in cli._FLAGS:
+            argv += [flag] * (2 if form == "repeat" else 1)
+            continue
+        values = {"seed": ("5", "-3", " 7 ", "x", "1_0"), "count": ("6", "0x10", "x"),
+                  "format": ("json", "text", "xml")}.get(name, ("m.json", "", "a b"))
+        value = draw(st.sampled_from(values) | st.sampled_from(VALUES))
+        if form == "equals":
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value] * (2 if form == "repeat" else 1)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        if draw(st.booleans()) and len(argv) > 1:
+            del argv[draw(st.integers(1, len(argv) - 1))]
+        else:
+            argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(NOISE)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_reader_declines_or_equals_argparse(argv):
+    got = cli._read_args(argv)
+    assert got is None or got == argparse_args(argv)
+
+
+def test_reader_reads_every_well_formed_golden_command():
+    for argv in golden_commands():
+        want = argparse_args(argv)
+        assert cli._read_args(argv) == want, argv
+
+
 def test_cli_text_format(tmp_path, capsys):
     code = run(
         "diagram", "--module", fx("module_unit.json"), "--format", "text"
@@ -519,6 +587,26 @@ def test_output_file_mode_follows_umask(tmp_path, umask):
     assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
+# -- writing JSON -----------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_json_writer_equals_json_dumps(value):
+    assert io._json_text(value) == json.dumps(value, indent=2)
+    result = {"operation": "x", "payload": value}
+    assert io.emit_result(result) == (json.dumps(result, indent=2) + "\n").encode()
+
+
 # -- the CLI as a process ---------------------------------------------------------------
 #
 # main() ends the process with os._exit once the result is flushed, so these
@@ -554,6 +642,20 @@ def test_cli_process_exit_codes_keep_their_stderr(capsys, code, argv):
     assert run(*argv) == code
     assert (proc.returncode, out, err.decode()) == (code, b"", capsys.readouterr().err)
     assert err.startswith(b"error: " if code == 2 else b"precondition violated: ")
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ("--help",)),
+    (2, ("relations",)),
+    (2, ("diagram", "--module", fx("module_unit.json"), "--format", "xml")),
+])
+def test_cli_process_help_and_usage_errors_match_run_command(capsys, monkeypatch, code, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    out, err = cli_process(*argv).communicate()
+    assert run(*argv) == code
+    captured = capsys.readouterr()
+    assert (out.decode(), err.decode()) == (captured.out, captured.err)
+    assert (out if code == 0 else err).startswith(b"usage: formaldiv")
 
 
 def test_cli_process_with_stdout_closed_fails_as_a_broken_pipe(tmp_path):

@@ -95,6 +95,18 @@ def test_rational_divide_loads_a_bounded_amount_of_source(tmp_path):
     assert source_lines(names) <= 1759
 
 
+@pytest.mark.parametrize("argv", [
+    ("divide", "--module", str(FIXTURES / "module_squares.json"),
+     "--dividend", str(FIXTURES / "dividend_mixed.json")),
+    ("relations", "--module", str(FIXTURES / "module_squares.json")),
+])
+def test_rational_call_builds_no_argument_parser(tmp_path, argv):
+    # a well-formed command line is read without argparse and its locale code
+    names = loaded_after(cli_call(*argv, "--out", str(tmp_path / "r.json")))
+    assert not names & {"argparse", "gettext", "locale"}
+    assert "_usage" not in formaldiv_modules(names)
+
+
 def test_semicont_scan_loads_no_relation_code(tmp_path):
     mods = formaldiv_modules(loaded_after(cli_call(
         "semicont-scan", "--module", str(FIXTURES / "family_relations.json"),

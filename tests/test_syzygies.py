@@ -1,10 +1,12 @@
 import itertools
 import random
 import time
+import unittest.mock
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formaldiv import (
     QQ,
@@ -23,7 +25,9 @@ from formaldiv import io
 from formaldiv.coefficients import LocalizedFraction
 from formaldiv.errors import NotARelationError
 from formaldiv.exponents import iter_alphas
-from formaldiv.syzygies import _det_adj, active_part, relation_defect
+from formaldiv import syzygies
+from formaldiv.series import _dot
+from formaldiv.syzygies import _det_adj, _RationalWork, active_part, relation_defect
 
 import oracle
 from helpers import random_division_instance, random_series, ser, unit_order
@@ -500,3 +504,81 @@ def test_presentation_spans_oracle_relations():
             if active_part(res.remainder, gens).is_zero:
                 continue
             assert oracle.spanned_modulo_inert(gens, list(pres.relations), h)
+
+
+# -- the rationals' work form ----------------------------------------------------------
+
+@st.composite
+def rational_series(draw, n, p, trunc):
+    """A QQ series with mixed denominators; terms past trunc are drawn and
+    dropped, and the series may be zero."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.lists(st.integers(0, trunc + 1), min_size=n, max_size=n).map(tuple),
+                  st.integers(1, p)).map(lambda key: ModExponent(*key)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        max_size=6,
+    ))
+    return TruncatedSeries(n, p, trunc, QQ, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rational_work_form_equals_series_products(data):
+    n, trunc = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+    k, p = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+    lefts = [data.draw(rational_series(n, 1, trunc)) for _ in range(k)]
+    rights = [data.draw(rational_series(n, 1, trunc)) for _ in range(k)]
+    addend = data.draw(rational_series(n, 1, trunc))
+    vector = data.draw(rational_series(n, p, trunc))
+    work = _RationalWork(n, trunc)
+    dl, (left,) = work.pack([lefts])
+    dr, (right,) = work.pack([[*rights, addend]])
+    products = _dot(zip(lefts, rights))
+    assert work.series(work.dot(zip(left, right[:k])), dl * dr) == products
+    with_addend = work.dot(zip(left, right[:k]), work.scaled(right[k], dl))
+    assert work.series(with_addend, dl * dr) == addend + products
+    # one left factor on every component of a multi-component right factor
+    dv, comps = work.pack_vector(vector)
+    terms = {}
+    for c, comp in enumerate(comps):
+        work.terms(work.dot([(left[0], comp)]), dl * dv, c + 1, terms)
+    assert TruncatedSeries(n, p, trunc, QQ, terms) == lefts[0].mul_series(vector)
+
+
+def _presentation_or_error(order, gens):
+    try:
+        return relations_of_generators(order, gens)
+    except Exception as exc:  # both paths must fail alike
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_rational_presentation_equals_the_value_path(seed):
+    # heads x^2 and x*y + y^3, as in test_presentation_basis_larger_than_minimal_subset,
+    # so the basis has a dropped element and Xi a column; random tails, and
+    # sometimes a redundant third generator, so Theta has one too
+    rng = random.Random(seed)
+    trunc = rng.randint(5, 7)
+
+    def with_tail(terms):
+        for _ in range(rng.randint(0, 3)):
+            d = rng.randint(3, trunc)
+            i = rng.randint(0, d)
+            terms[(i, d - i)] = Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 7))
+        return ser(2, 1, trunc, terms)
+    g1 = with_tail({(2, 0): Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 5))})
+    g2 = with_tail({(1, 1): Fraction(rng.randint(1, 4), rng.randint(1, 5)), (0, 3): Fraction(-2, 3)})
+    gens = [g1, g2]
+    if rng.random() < 0.5:
+        gens.append(g1.mul_series(random_series(rng, 2, 1, trunc, 3)) + g2)
+    rng.shuffle(gens)
+    order = unit_order(2)
+    packed = _presentation_or_error(order, gens)
+    with unittest.mock.patch.object(syzygies, "QQ", object()):  # no ring equals it
+        plain = _presentation_or_error(order, gens)
+    if isinstance(packed, type) or isinstance(plain, type):
+        assert packed == plain
+        return
+    for field in ("relations", "xi", "theta", "u_matrix", "u_adjugate", "det_u"):
+        assert getattr(packed, field) == getattr(plain, field), field
