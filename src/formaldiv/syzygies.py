@@ -250,24 +250,19 @@ class _RationalWork:
         self.n, self.trunc = n, trunc
         self.radix = trunc + 1
         self.limit = self.radix ** (n + 1)
-        self.alphas = {}  # index -> alpha, for every index packed or built
 
     def index(self, alpha):
         idx = sum(alpha)
         for a in reversed(alpha):
             idx = idx * self.radix + a
-        self.alphas[idx] = alpha
         return idx
 
     def alpha(self, idx):
-        alpha = self.alphas.get(idx)
-        if alpha is None:
-            digits, rest = [], idx
-            for _ in range(self.n):
-                rest, a = divmod(rest, self.radix)
-                digits.append(a)
-            alpha = self.alphas[idx] = tuple(digits)
-        return alpha
+        digits = []
+        for _ in range(self.n):
+            idx, a = divmod(idx, self.radix)
+            digits.append(a)
+        return tuple(digits)
 
     def _components(self, s, den):
         """The p components of s, each as sorted (index, numerator) pairs
