@@ -545,6 +545,15 @@ def test_rational_work_form_equals_series_products(data):
     assert TruncatedSeries(n, p, trunc, QQ, terms) == lefts[0].mul_series(vector)
 
 
+def test_rational_work_form_truncates_where_an_index_digit_would_carry():
+    # x^2 * x has degree 3 > D = 2, and its x-digit 3 = D + 1 carries into
+    # the y-digit: it must be dropped, not read back as y
+    work = _RationalWork(2, 2)
+    (dl, ((x2, x1),)) = work.pack([[ser(2, 1, 2, {(2, 0): 1}), ser(2, 1, 2, {(1, 0): 1})]])
+    assert work.dot([(x2, x1)]) == {}
+    assert work.series(work.dot([(x1, x1)]), dl) == ser(2, 1, 2, {(2, 0): 1})
+
+
 def _presentation_or_error(order, gens):
     try:
         return relations_of_generators(order, gens)
