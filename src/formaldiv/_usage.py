@@ -1,11 +1,9 @@
-"""The argparse parser of the command line, built from `cli`'s subcommand
-table and the help texts below.  `cli` reads a well-formed command line
-itself and builds this parser only for the rest, so help texts and usage
-errors are argparse's."""
+"""The argparse parser of the command line, built from the subcommand table
+that `cli` passes in and the help texts below.  `cli` reads a well-formed
+command line itself and builds this parser only for the rest, so help texts
+and usage errors are argparse's."""
 
 import argparse
-
-from .cli import _COMMANDS, _FLAGS, _FORMATS, _INTS, _POINT_SOURCES, _REQUIRED
 
 COMMAND_HELP = {
     "divide": "divide a series by the module generators",
@@ -35,29 +33,34 @@ OPTION_HELP = {
 }
 
 
-def parse_args(argv) -> dict:
+def parse_args(argv, commands, required, flags, ints, formats, sources) -> dict:
     """argparse's namespace for argv, as a dict; help and usage errors end
-    in SystemExit, as argparse ends them."""
+    in SystemExit, as argparse ends them.
+
+    commands maps each subcommand to its option names in order; required,
+    flags, ints and formats say how an option is read, and at most one of
+    the point sources may be given.  Every option but --format has a help
+    text in OPTION_HELP.
+    """
     parser = argparse.ArgumentParser(
         prog="formaldiv",
         description="exact division engine for truncated power series modules",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, names in _COMMANDS.items():
+    for command, names in commands.items():
         p = sub.add_parser(command, help=COMMAND_HELP[command])
-        sources = None
+        group = None
         for name in names:
-            target = p
-            if name in _POINT_SOURCES:
-                if sources is None:
-                    sources = p.add_mutually_exclusive_group()
-                target = sources
-            flag, text = f"--{name}", OPTION_HELP.get(name)
-            if name in _FLAGS:
-                target.add_argument(flag, action="store_true", help=text)
-            elif name == "format":
-                target.add_argument(flag, choices=_FORMATS, default="json")
+            target, flag = p, f"--{name}"
+            if name in sources:
+                if group is None:
+                    group = p.add_mutually_exclusive_group()
+                target = group
+            if name == "format":
+                target.add_argument(flag, choices=formats, default="json")
+            elif name in flags:
+                target.add_argument(flag, action="store_true", help=OPTION_HELP[name])
             else:
-                target.add_argument(flag, required=name in _REQUIRED, help=text,
-                                    type=int if name in _INTS else None)
+                target.add_argument(flag, required=name in required, help=OPTION_HELP[name],
+                                    type=int if name in ints else None)
     return vars(parser.parse_args(argv))

@@ -11,35 +11,48 @@ import time
 
 from . import io
 from .division import canonicalize, complete_to_standard_basis, hironaka_divide, is_member
-from .errors import DegeneracyError, EngineError, PreconditionError, SchemaError
+from .errors import (
+    DegeneracyError,
+    EngineError,
+    PreconditionError,
+    SchemaError,
+)
 from .exponents import compare_diagrams
 
 # families and syzygies are imported by the subcommands that run them.
 
-# The subcommand table: each command's options in argparse's order, read by
-# `_read_args` and, for help and usage errors, built into a parser by `_usage`.
-# Options take a string unless they are flags or ints; --format json or text.
+# The subcommand table: each command's options in argparse's order.  It is
+# read by `_read_args` and, for help and usage errors, built into a parser by
+# `_usage.parse_args`.  Options take a string unless they are flags or ints;
+# --format takes json or text, and a call names at most one point source.
 _REQUIRED = ("module", "dividend", "other", "at")
 _FLAGS = ("canonical", "timing", "refine")
 _INTS = ("seed", "count")
 _FORMATS = ("json", "text")
-_POINT_SOURCES = ("points", "grid", "seed")  # at most one
+_POINT_SOURCES = ("points", "grid", "seed")
 _OUTPUT = ("out", "format", "timing")
 _POINTS = (*_POINT_SOURCES, "count")
 _COMMANDS = {
-    "divide": ("module", "dividend", *_OUTPUT), "diagram": ("module", *_OUTPUT),
+    "divide": ("module", "dividend", *_OUTPUT),
+    "diagram": ("module", *_OUTPUT),
     "std-basis": ("module", "canonical", *_OUTPUT),
     "membership": ("module", "dividend", *_OUTPUT),
-    "syzygy": ("module", *_OUTPUT), "relations": ("module", *_OUTPUT),
-    "compare-diagrams": ("module", "other", *_OUTPUT), "specialize": ("module", "at", *_OUTPUT),
+    "syzygy": ("module", *_OUTPUT),
+    "relations": ("module", *_OUTPUT),
+    "compare-diagrams": ("module", "other", *_OUTPUT),
+    "specialize": ("module", "at", *_OUTPUT),
     "semicont-scan": ("module", *_POINTS, *_OUTPUT, "refine"),
     "relations-check": ("module", *_POINTS, *_OUTPUT),
 }
 
 
 def _read_args(argv):
-    """argparse's namespace for a well-formed command line, as a dict; None for
-    help, usage errors and rarer forms (abbreviations, --opt=value, "-" values)."""
+    """argparse's namespace for a well-formed command line, as a dict.
+
+    None for help, for usage errors and for the rarer forms this reader
+    leaves to argparse: abbreviated options, --opt=value, and values that
+    begin with "-".
+    """
     names = _COMMANDS.get(argv[0]) if argv else None
     if names is None:
         return None
@@ -206,7 +219,8 @@ def run_command(argv=None) -> int:
     if args is None:  # help or a usage error: argparse writes those
         from ._usage import parse_args
         try:
-            args = parse_args(argv)
+            args = parse_args(argv, _COMMANDS, _REQUIRED, _FLAGS, _INTS, _FORMATS,
+                              _POINT_SOURCES)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
     started = time.monotonic()

@@ -293,35 +293,21 @@ def build_result(operation: str, input_hashes: dict, payload: dict,
     return result
 
 
-def _render_text_value(value, indent=0):
-    """Lines of an indented outline: `key:` for dict entries, `-` for list
-    items, with scalars on the same line."""
-    pad = "  " * indent
-    if isinstance(value, dict):
-        items = [(f"{k}:", v) for k, v in value.items()]
-    elif isinstance(value, list):
-        items = [("-", v) for v in value]
-    else:
-        return [f"{pad}{value}"]
-    lines = []
-    for label, v in items:
-        if isinstance(v, (dict, list)):
-            lines.append(f"{pad}{label}")
-            lines.extend(_render_text_value(v, indent + 1))
-        else:
-            lines.append(f"{pad}{label} {v}")
-    return lines
-
-
 def _json_text(value, newline="\n"):
     """json.dumps(value, indent=2) for dicts with string keys, without json's
-    pure-Python indenting encoder; newline breaks and indents at value's depth."""
+    pure-Python indenting encoder.
+
+    newline is the line break and indent of value's own depth; the items of
+    a nonempty dict or list go one level deeper.
+    """
     inner = newline + "  "
     if isinstance(value, dict) and value:
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     return int.__repr__(value) if type(value) is int else json.dumps(value)
@@ -332,11 +318,8 @@ def emit_result(result: dict, fmt: str = "json") -> bytes:
     if fmt == "json":
         return (_json_text(result) + "\n").encode()
     if fmt == "text":
-        header = f"formaldiv result: {result['operation']}"
-        lines = [header, "=" * len(header)]
-        lines.extend(_render_text_value({k: v for k, v in result.items()
-                                         if k != "operation"}))
-        return ("\n".join(lines) + "\n").encode()
+        from ._text import render_text
+        return render_text(result)
     raise SchemaError(f"unknown output format {fmt!r}")
 
 

@@ -372,7 +372,8 @@ def argparse_args(argv):
     with contextlib.redirect_stdout(_stdio.StringIO()), \
             contextlib.redirect_stderr(_stdio.StringIO()):
         try:
-            return _usage.parse_args(list(argv))
+            return _usage.parse_args(list(argv), cli._COMMANDS, cli._REQUIRED, cli._FLAGS,
+                                     cli._INTS, cli._FORMATS, cli._POINT_SOURCES)
         except SystemExit:
             return None
 
