@@ -355,7 +355,8 @@ class LocalizedFraction:
                 v = memo[i, point] = self.dset.generators[i].evaluate(point)
             if not v:
                 raise VanishingDenominatorError(
-                    f"denominator {self.dset.generators[i]} vanishes at {point}"
+                    f"denominator {self.dset.generators[i]} vanishes at "
+                    f"({', '.join(map(str, point))})"
                 )
             den *= v ** k
         return self.num.evaluate(point) / den

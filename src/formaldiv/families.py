@@ -59,7 +59,7 @@ def specialize(pm: ParamModule, point: Sequence[Fraction]) -> list[TruncatedSeri
     for seed in pm.denominator_seed:
         if not seed.evaluate(point):
             raise VanishingDenominatorError(
-                f"declared denominator {seed} vanishes at {point}"
+                f"declared denominator {seed} vanishes at ({', '.join(map(str, point))})"
             )
     return [_at(g, point) for g in pm.generators]
 

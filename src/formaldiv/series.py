@@ -213,10 +213,11 @@ class TruncatedSeries:
         return " + ".join(bits)
 
 
-def _dot(pairs) -> TruncatedSeries:
-    """Sum of a.mul_series(b) over a nonempty iterable of pairs, added left
-    to right (the grouping fixes how unreduced localized fractions print)."""
-    acc = None
+def _dot(pairs, start=None) -> TruncatedSeries:
+    """start plus the sum of a.mul_series(b) over pairs, added left to right
+    (the grouping fixes how unreduced localized fractions print); pairs may
+    be empty only when start is given."""
+    acc = start
     for a, b in pairs:
         term = a.mul_series(b)
         acc = term if acc is None else acc + term

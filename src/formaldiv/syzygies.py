@@ -24,13 +24,10 @@ the target diagram of both greedy passes (over the generators and over the
 basis), and the completion that accepted a pass's last drop is the basis of
 its survivors, through which the dropped series are expressed.
 
-Over the rationals, the products that pull the relations back (the dot
-products of U and of the subset expressions, every eta + Xi*zeta and every
-adj(U)*v) run on an integer work form, `_RationalWork`; each output
-coefficient is reduced once.  Rationals print canonically, so the order of
-that summation cannot show.  The parametric rings keep the series operators
-and their left-to-right order, which fixes how their unreduced fractions
-print.
+Every product of series matrices in a presentation (Xi and Theta, U, each
+eta + Xi*zeta and each adj(U)*v) is one `_matmul`, which sums on ints over
+the rationals and with the series operators, left to right, over the
+parametric rings, whose unreduced fractions print by that order.
 
 The `syzygy` and `relations` results are shaped as JSON here, so a call that
 computes no relations loads none of it.
@@ -233,92 +230,72 @@ def _det_adj(m, one):
     return det(full, full), adj
 
 
-class _RationalWork:
-    """The rationals' work form for one presentation's products.
+def _matmul(a, b, start=None):
+    """The product of two matrices of one-component series, plus start if
+    given: entry (i, j) is start[i][j] + sum over t of a[i][t] * b[t][j].
 
-    A one-component series is a list of (index, numerator) pairs sorted by
-    index, over one denominator shared by the whole matrix or vector it was
-    packed with.  The index of x^alpha is mixed-radix with radix R = D + 1
-    and the degree as its top digit, deg(alpha)*R^n + sum alpha_k*R^(k-1):
-    no digit of a product that stays within degree D carries, so indices
-    add as exponents do, and a product term is kept iff its index is below
-    (D + 1)*R^n.  Products are summed as ints, and each output coefficient
-    is reduced once.
+    Over the rationals, a is packed over one denominator and b with start
+    over another, each entry as (index, numerator) int pairs sorted by a
+    mixed-radix index with radix R = D + 1 and the degree as its top digit,
+    deg(alpha)*R^n + sum alpha_k*R^(k-1).  No digit of a product that stays
+    within degree D carries, so indices add as exponents do, and a product
+    term is kept iff its index is below (D + 1)*R^n.  The products are
+    summed as ints and each entry is reduced once; rationals print
+    canonically, so the order of that sum cannot show.  Other rings sum with
+    the series operators, left to right from start, because their unreduced
+    fractions print by the grouping of the sum.
     """
+    cols = range(len(b[0]) if b else len(start[0]) if start else 0)
+    first = next((s for mat in (a, b, start or ()) for row in mat for s in row), None)
+    if first is None or first.ring != QQ:
+        return [[_dot(zip(row, (b_row[j] for b_row in b)), start[i][j] if start else None)
+                 for j in cols] for i, row in enumerate(a)]
 
-    def __init__(self, n, trunc):
-        self.n, self.trunc = n, trunc
-        self.radix = trunc + 1
-        self.limit = self.radix ** (n + 1)
+    n, trunc = first.n, first.trunc
+    radix = trunc + 1
+    limit = radix ** (n + 1)
 
-    def index(self, alpha):
+    def index(alpha):
         idx = sum(alpha)
-        for a in reversed(alpha):
-            idx = idx * self.radix + a
+        for e in reversed(alpha):
+            idx = idx * radix + e
         return idx
 
-    def alpha(self, idx):
+    def alpha(idx):
         digits = []
-        for _ in range(self.n):
-            idx, a = divmod(idx, self.radix)
-            digits.append(a)
+        for _ in range(n):
+            idx, e = divmod(idx, radix)
+            digits.append(e)
         return tuple(digits)
 
-    def _components(self, s, den):
-        """The p components of s, each as sorted (index, numerator) pairs
-        over den."""
-        comps = [[] for _ in range(s.p)]
-        for e, c in s.terms.items():
-            comps[e.comp - 1].append((self.index(e.alpha), c.numerator * (den // c.denominator)))
-        for comp in comps:
-            comp.sort()
-        return comps
+    def pack(*mats):
+        # one denominator for the entries of mats, and each matrix over it
+        den = lcm(*(c.denominator for mat in mats for row in mat for s in row
+                    for c in s.terms.values()))
+        return den, [[[sorted((index(e.alpha), c.numerator * (den // c.denominator))
+                              for e, c in s.terms.items()) for s in row] for row in mat]
+                     for mat in mats]
 
-    def pack(self, rows):
-        """One denominator for a matrix of one-component series, and its
-        entries packed over it."""
-        den = lcm(*(c.denominator for row in rows for s in row for c in s.terms.values()))
-        return den, [[self._components(s, den)[0] for s in row] for row in rows]
-
-    def pack_vector(self, s):
-        """One denominator for a p-component series, and its components
-        packed over it."""
-        den = lcm(*(c.denominator for c in s.terms.values()))
-        return den, self._components(s, den)
-
-    def dot(self, pairs, acc=None):
-        """acc (index -> int, or a new dict) plus the products of the packed
-        pairs, truncated at degree D."""
-        acc = {} if acc is None else acc
-        limit = self.limit
-        for a, b in pairs:
-            for i, x in a:
-                room = limit - i
-                for j, y in b:
-                    if j >= room:
-                        break
-                    k = i + j
-                    acc[k] = acc.get(k, 0) + x * y
-        return acc
-
-    @staticmethod
-    def scaled(packed, factor):
-        return {i: x * factor for i, x in packed}
-
-    @staticmethod
-    def packed(acc):
-        return sorted(item for item in acc.items() if item[1])
-
-    def terms(self, acc, den, comp=1, out=None):
-        """The nonzero entries of acc over den, as series terms in slot comp."""
-        out = {} if out is None else out
-        for idx, x in acc.items():
-            if x:
-                out[ModExponent(self.alpha(idx), comp)] = Fraction(x, den)
-        return out
-
-    def series(self, acc, den):
-        return TruncatedSeries(self.n, 1, self.trunc, QQ, self.terms(acc, den))
+    da, (ap,) = pack(a)
+    db, (bp, sp) = pack(b, start or ())
+    den = da * db
+    out = []
+    for i, a_row in enumerate(ap):
+        out_row = []
+        for j in cols:
+            acc = {k: x * da for k, x in sp[i][j]} if start else {}
+            for x_terms, b_row in zip(a_row, bp):
+                for k, x in x_terms:
+                    room = limit - k
+                    for l, y in b_row[j]:
+                        if l >= room:
+                            break
+                        kl = k + l
+                        acc[kl] = acc.get(kl, 0) + x * y
+            terms = {ModExponent(alpha(k), 1): Fraction(x, den) for k, x in acc.items() if x}
+            out_row.append(TruncatedSeries(n, 1, trunc, QQ, terms))
+        out.append(out_row)
+    return out
 
 
 class RelationPresentation(NamedTuple):
@@ -355,10 +332,10 @@ class RelationPresentation(NamedTuple):
         return c.num if isinstance(c, LocalizedFraction) else c
 
 
-def _express_in_subset(order, survivors, m, dropped, work):
+def _express_in_subset(order, survivors, m, dropped):
     """m x len(dropped) matrix whose column l expresses dropped[l] in the m
     kept series, read through the provenance of their standard basis
-    survivors (None when nothing was dropped); valid modulo degree > trunc.
+    survivors; valid modulo degree > trunc.
     """
     quotients = []
     for g in dropped:
@@ -369,58 +346,8 @@ def _express_in_subset(order, survivors, m, dropped, work):
                 "truncation degree too small for this configuration"
             )
         quotients.append(res.quotients)
-    prov = survivors.provenance if dropped else ()
-    if work is not None:
-        (dq, qs), (dp, pv) = work.pack(quotients), work.pack(prov)
-        return [
-            [work.series(work.dot((qj, pj[i]) for qj, pj in zip(row, pv)), dq * dp)
-             for row in qs]
-            for i in range(m)
-        ]
-    return [
-        [_dot((qj, pv[i]) for qj, pv in zip(qs, prov)) for qs in quotients]
-        for i in range(m)
-    ]
-
-
-def _pull_back(p_rels, xi, u_adj, perm_phi, q):
-    """The nonzero adj(U)*(eta + Xi*zeta) of each basis relation (eta its
-    first m entries, zeta the rest), placed in the generators' slots."""
-    m = len(xi)
-    relations = []
-    for p_rel in p_rels:
-        r = p_rel.p
-        eta = [p_rel.component(i + 1) for i in range(m)]
-        zeta = [p_rel.component(m + l + 1) for l in range(r - m)]
-        v = []
-        for i in range(m):
-            acc = eta[i]
-            for l in range(r - m):
-                acc = acc + xi[i][l].mul_series(zeta[l])
-            v.append(acc)
-        rel = TruncatedSeries.zero(p_rel.n, q, p_rel.trunc, p_rel.ring)
-        for i in range(m):
-            rel = rel + _dot(zip(u_adj[i], v)).embed(perm_phi[i] + 1, q)
-        if not rel.is_zero:
-            relations.append(rel)
-    return relations
-
-
-def _pull_back_rationals(work, p_rels, dx, xp, u_adj, perm_phi, q):
-    """`_pull_back` on the work form, with Xi packed over dx."""
-    m = len(xp)
-    da, ap = work.pack(u_adj)
-    relations = []
-    for p_rel in p_rels:
-        dr, comps = work.pack_vector(p_rel)
-        v = [work.packed(work.dot(zip(xp[i], comps[m:]), work.scaled(comps[i], dx)))
-             for i in range(m)]
-        terms = {}
-        for i in range(m):
-            work.terms(work.dot(zip(ap[i], v)), da * dx * dr, perm_phi[i] + 1, terms)
-        if terms:
-            relations.append(TruncatedSeries(work.n, q, work.trunc, QQ, terms))
-    return relations
+    columns = _matmul(quotients, survivors.provenance if dropped else ())
+    return [[column[i] for column in columns] for i in range(m)]
 
 
 def relations_of_generators(
@@ -442,7 +369,6 @@ def relations_of_generators(
 
     basis = complete_to_standard_basis(order, gens)
     r = len(basis.elements)
-    work = _RationalWork(n, trunc) if ring == QQ else None
 
     keep_phi, kept_gens = _greedy_subset(order, gens, basis.diagram)
     keep_psi, kept_elements = _greedy_subset(order, basis.elements, basis.diagram)
@@ -459,12 +385,9 @@ def relations_of_generators(
     elements_perm = [basis.elements[t] for t in perm_psi]
 
     # Xi: dropped basis elements in terms of the kept ones (m x (r-m))
-    xi = _express_in_subset(order, kept_elements, m, [basis.elements[t] for t in rest_psi],
-                            work)
+    xi = _express_in_subset(order, kept_elements, m, [basis.elements[t] for t in rest_psi])
     # Theta: dropped generators in terms of the kept ones (m x (q-m))
-    theta = _express_in_subset(order, kept_gens, m, [gens[t] for t in rest_phi], work)
-    if work is not None:
-        dx, xp = work.pack(xi)
+    theta = _express_in_subset(order, kept_gens, m, [gens[t] for t in rest_phi])
 
     # T: kept generators through the full (permuted) basis (r x m)
     t_matrix = [[None] * m for _ in range(r)]
@@ -477,20 +400,9 @@ def relations_of_generators(
 
     # U = T_top + Xi * T_bottom, an m x m change of generators
     u_matrix = t_matrix[:m]
-    if rest_psi and work is not None:
-        dt, tp = work.pack(t_matrix)
-        u_matrix = [
-            [work.series(work.dot(((x, t[j]) for x, t in zip(xi_row, tp[m:])),
-                                  work.scaled(tp[i][j], dx)), dx * dt)
-             for j in range(m)]
-            for i, xi_row in enumerate(xp)
-        ]
-    elif rest_psi:
-        t_bot = t_matrix[m:]
-        u_matrix = [
-            [u + _dot((x, t[j]) for x, t in zip(xi_row, t_bot)) for j, u in enumerate(row)]
-            for row, xi_row in zip(u_matrix, xi)
-        ]
+    if rest_psi:
+        u_matrix = [[u + w for u, w in zip(row, xt_row)]
+                    for row, xt_row in zip(u_matrix, _matmul(xi, t_matrix[m:]))]
 
     det_u, u_adj = _det_adj(u_matrix, one_series)
     det_u0 = det_u.coefficient(ModExponent((0,) * n, 1))
@@ -499,19 +411,22 @@ def relations_of_generators(
             "constant term of the change-of-generators matrix is singular"
         )
 
-    p_rels = _relations_core(order, elements_perm)[2]
+    def in_slots(column):
+        # the terms of a q-vector holding column[i] in kept generator i's slot
+        return {ModExponent(e.alpha, perm_phi[i] + 1): c
+                for i, s in enumerate(column) for e, c in s.terms.items()}
 
-    if work is None:
-        relations = _pull_back(p_rels, xi, u_adj, perm_phi, q)
-    else:
-        relations = _pull_back_rationals(work, p_rels, dx, xp, u_adj, perm_phi, q)
+    # each basis relation, eta its first m entries and zeta the rest, pulled
+    # back as adj(U) * (eta + Xi * zeta); columns index the relations
+    p_rels = _relations_core(order, elements_perm)[2]
+    entries = [[rel.component(k + 1) for rel in p_rels] for k in range(r)]
+    v = _matmul(xi, entries[m:], start=entries[:m])
+    relations = [TruncatedSeries(n, q, trunc, ring, terms)
+                 for terms in map(in_slots, zip(*_matmul(u_adj, v))) if terms]
     for l, orig in enumerate(rest_phi):
-        rel = TruncatedSeries.monomial(
-            ModExponent((0,) * n, orig + 1), ring.one, n, q, trunc, ring
-        )
-        for i in range(m):
-            rel = rel + (-theta[i][l]).embed(perm_phi[i] + 1, q)
-        relations.append(rel)
+        terms = {ModExponent((0,) * n, orig + 1): ring.one,
+                 **in_slots(-theta[i][l] for i in range(m))}
+        relations.append(TruncatedSeries(n, q, trunc, ring, terms))
 
     dset = getattr(ring, "dset", None)
     dens = tuple(dset.generators) if dset is not None else ()

@@ -202,6 +202,15 @@ def test_evaluate_fraction_pole():
     assert f.evaluate((Fraction(2),)) == Fraction(3, 2)
 
 
+def test_vanishing_denominator_names_the_point_as_rationals():
+    names = ("xi1", "xi2")
+    ring = loc_ring("2*xi1 + xi2", names=names)
+    f = ring.divide_by_unit(ring.one, ring.from_poly(poly("2*xi1 + xi2", names)))
+    with pytest.raises(VanishingDenominatorError) as info:
+        f.evaluate((Fraction(1, 2), Fraction(-1)))
+    assert str(info.value).endswith(" vanishes at (1/2, -1)")
+
+
 def test_evaluate_is_ring_homomorphism():
     rng = random.Random(9)
     names = ("a", "b")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from formaldiv import ModExponent, QQ, TruncatedSeries, parse_coefficient
 from formaldiv import _usage, cli, io
 from formaldiv.errors import InvariantError, SchemaError
-from test_cli_golden import commands as golden_commands
+from golden import commands as golden_commands
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -555,6 +555,16 @@ def test_exit_code_degeneracy():
     assert run(
         "specialize", "--module", fx("family_seeded.json"), "--at", "0"
     ) == 4
+
+
+def test_vanishing_denominator_prints_the_point_as_the_payload_does(tmp_path, capsys):
+    assert run("specialize", "--module", fx("family_seeded.json"), "--at", "0") == 4
+    assert capsys.readouterr().err == (
+        "degenerate input: declared denominator xi1 vanishes at (0)\n")
+    payload = run_json(tmp_path, "semicont-scan", "--module", fx("family_seeded.json"),
+                       "--grid", "xi1:-2..2")["payload"]
+    reasons = {tuple(rec["point"]): rec.get("reason") for rec in payload["points"]}
+    assert reasons[("0",)] == "declared denominator xi1 vanishes at (0)"
 
 
 def test_exit_code_internal_error(monkeypatch):

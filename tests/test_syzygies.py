@@ -27,7 +27,7 @@ from formaldiv.errors import NotARelationError
 from formaldiv.exponents import iter_alphas
 from formaldiv import syzygies
 from formaldiv.series import _dot
-from formaldiv.syzygies import _det_adj, _RationalWork, active_part, relation_defect
+from formaldiv.syzygies import _det_adj, _matmul, active_part, relation_defect
 
 import oracle
 from helpers import random_division_instance, random_series, ser, unit_order
@@ -506,52 +506,79 @@ def test_presentation_spans_oracle_relations():
             assert oracle.spanned_modulo_inert(gens, list(pres.relations), h)
 
 
-# -- the rationals' work form ----------------------------------------------------------
+# -- matrix products -------------------------------------------------------------------
 
 @st.composite
-def rational_series(draw, n, p, trunc):
-    """A QQ series with mixed denominators; terms past trunc are drawn and
-    dropped, and the series may be zero."""
+def rational_series(draw, n, trunc):
+    """A one-component QQ series with mixed denominators; terms past trunc
+    are drawn and dropped, and the series may be zero."""
     terms = draw(st.dictionaries(
-        st.tuples(st.lists(st.integers(0, trunc + 1), min_size=n, max_size=n).map(tuple),
-                  st.integers(1, p)).map(lambda key: ModExponent(*key)),
+        st.lists(st.integers(0, trunc + 1), min_size=n, max_size=n).map(
+            lambda alpha: ModExponent(tuple(alpha), 1)),
         st.fractions(min_value=-20, max_value=20, max_denominator=12),
         max_size=6,
     ))
-    return TruncatedSeries(n, p, trunc, QQ, terms)
+    return TruncatedSeries(n, 1, trunc, QQ, terms)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_rational_work_form_equals_series_products(data):
+def test_rational_matmul_equals_dot_products(data):
     n, trunc = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
-    k, p = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
-    lefts = [data.draw(rational_series(n, 1, trunc)) for _ in range(k)]
-    rights = [data.draw(rational_series(n, 1, trunc)) for _ in range(k)]
-    addend = data.draw(rational_series(n, 1, trunc))
-    vector = data.draw(rational_series(n, p, trunc))
-    work = _RationalWork(n, trunc)
-    dl, (left,) = work.pack([lefts])
-    dr, (right,) = work.pack([[*rights, addend]])
-    products = _dot(zip(lefts, rights))
-    assert work.series(work.dot(zip(left, right[:k])), dl * dr) == products
-    with_addend = work.dot(zip(left, right[:k]), work.scaled(right[k], dl))
-    assert work.series(with_addend, dl * dr) == addend + products
-    # one left factor on every component of a multi-component right factor
-    dv, comps = work.pack_vector(vector)
-    terms = {}
-    for c, comp in enumerate(comps):
-        work.terms(work.dot([(left[0], comp)]), dl * dv, c + 1, terms)
-    assert TruncatedSeries(n, p, trunc, QQ, terms) == lefts[0].mul_series(vector)
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    with_start = data.draw(st.booleans())
+    inner = data.draw(st.integers(0 if with_start else 1, 3))
+
+    def matrix(height, width):
+        return [[data.draw(rational_series(n, trunc)) for _ in range(width)]
+                for _ in range(height)]
+    a, b = matrix(rows, inner), matrix(inner, cols)
+    start = matrix(rows, cols) if with_start else None
+    expected = [[_dot(zip(a[i], (row[j] for row in b)), start[i][j] if start else None)
+                 for j in range(cols)] for i in range(rows)]
+    assert _matmul(a, b, start) == expected
 
 
-def test_rational_work_form_truncates_where_an_index_digit_would_carry():
+def test_rational_matmul_truncates_where_an_index_digit_would_carry():
     # x^2 * x has degree 3 > D = 2, and its x-digit 3 = D + 1 carries into
     # the y-digit: it must be dropped, not read back as y
-    work = _RationalWork(2, 2)
-    (dl, ((x2, x1),)) = work.pack([[ser(2, 1, 2, {(2, 0): 1}), ser(2, 1, 2, {(1, 0): 1})]])
-    assert work.dot([(x2, x1)]) == {}
-    assert work.series(work.dot([(x1, x1)]), dl) == ser(2, 1, 2, {(2, 0): 1})
+    x2, x1 = ser(2, 1, 2, {(2, 0): 1}), ser(2, 1, 2, {(1, 0): 1})
+    assert _matmul([[x2]], [[x1]]) == [[ser(2, 1, 2, {})]]
+    assert _matmul([[x1]], [[x1]]) == [[x2]]
+
+
+def _small_presentations(ring_name):
+    """(order, generators) with a single generator (no basis relations),
+    two minimal ones (r = m: no zeta, nothing dropped) and those two plus
+    a redundant third (Theta only)."""
+    if ring_name == "QQ":
+        order = unit_order(2)
+        gens = [ser(2, 1, 6, {(2, 0): 1}), ser(2, 1, 6, {(0, 2): Fraction(2, 3)}),
+                ser(2, 1, 6, {(2, 0): 1, (0, 2): 1})]
+    else:
+        path = Path(__file__).parent / "fixtures" / "family_relations.json"
+        pm = io.parse_module_file(str(path)).param_module()
+        order, gens = pm.order, list(pm.localized()[1])
+    return {"single": (order, gens[1:2]), "no_zeta": (order, gens[:2]),
+            "theta_only": (order, gens)}
+
+
+@pytest.mark.parametrize("case", ["single", "no_zeta", "theta_only"])
+@pytest.mark.parametrize("ring_name", ["QQ", "localized"])
+def test_presentation_with_empty_products(ring_name, case):
+    order, gens = _small_presentations(ring_name)[case]
+    pres = relations_of_generators(order, gens)
+    q, m, r = len(gens), pres.m, len(pres.basis.elements)
+    assert (q, m, r) == {"single": (1, 1, 1), "no_zeta": (2, 2, 2),
+                         "theta_only": (3, 2, 2)}[case]
+    assert [len(row) for row in pres.xi] == [0] * m
+    assert [len(row) for row in pres.theta] == [q - m] * m
+    assert len(pres.relations) == {"single": 0, "no_zeta": 1, "theta_only": 2}[case]
+    for rel in pres.relations:
+        assert relation_defect(rel, gens).is_zero
+    if ring_name == "QQ":
+        with unittest.mock.patch.object(syzygies, "QQ", object()):  # no ring equals it
+            assert relations_of_generators(order, gens).relations == pres.relations
 
 
 def _presentation_or_error(order, gens):
