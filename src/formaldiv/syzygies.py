@@ -268,22 +268,23 @@ def _matmul(a, b, start=None):
             digits.append(e)
         return tuple(digits)
 
-    def pack(*mats):
-        # one denominator for the entries of mats, and each matrix over it
-        den = lcm(*(c.denominator for mat in mats for row in mat for s in row
-                    for c in s.terms.values()))
-        return den, [[[sorted((index(e.alpha), c.numerator * (den // c.denominator))
-                              for e, c in s.terms.items()) for s in row] for row in mat]
-                     for mat in mats]
+    def common_denominator(*mats):
+        return lcm(*(c.denominator for mat in mats for row in mat for s in row
+                     for c in s.terms.values()))
 
-    da, (ap,) = pack(a)
-    db, (bp, sp) = pack(b, start or ())
+    def packed(s, den):
+        return sorted((index(e.alpha), c.numerator * (den // c.denominator))
+                      for e, c in s.terms.items())
+
+    da, db = common_denominator(a), common_denominator(b, start or ())
+    ap = [[packed(s, da) for s in row] for row in a]
+    bp = [[packed(s, db) for s in row] for row in b]
     den = da * db
     out = []
     for i, a_row in enumerate(ap):
         out_row = []
         for j in cols:
-            acc = {k: x * da for k, x in sp[i][j]} if start else {}
+            acc = {k: x * da for k, x in packed(start[i][j], db)} if start else {}
             for x_terms, b_row in zip(a_row, bp):
                 for k, x in x_terms:
                     room = limit - k

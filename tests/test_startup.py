@@ -135,7 +135,7 @@ def test_relations_loads_syzygies_but_not_families(tmp_path):
     if NO_HASHLIB:
         assert "hashlib" not in names
     # what it loaded when the presentation's products became one matrix product
-    assert source_lines(names) <= 2250
+    assert source_lines(names) <= 2249
 
 
 def test_parametric_divide_loads_coefficients(tmp_path):
