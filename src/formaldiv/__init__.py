@@ -29,7 +29,6 @@ _EXPORTS = {
     "division": (
         "DivisionResult", "StandardBasis", "canonicalize",
         "complete_to_standard_basis", "hironaka_divide", "is_member",
-        "minimal_generating_subset",
     ),
     "exponents": (
         "DeltaPartition", "Diagram", "ModExponent", "Ordering",
@@ -45,8 +44,8 @@ _EXPORTS = {
     "rationals": ("QQ",),
     "series": ("InitialData", "TruncatedSeries"),
     "syzygies": (
-        "RelationPresentation", "SyzygyBasis", "reduce_relation",
-        "relations_of_generators", "standard_relations", "syzygy_diagram",
+        "RelationPresentation", "SyzygyBasis", "minimal_generating_subset",
+        "reduce_relation", "relations_of_generators", "standard_relations", "syzygy_diagram",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -83,18 +83,15 @@ def _replay_completion(first, q, steps, index):
     """Provenance of the work list elements at index, from the completion's
     (gamma, i, quotients) steps over q generators."""
     n, trunc, ring = first.n, first.trunc, first.ring
-    one = ring.one
     zero = TruncatedSeries.zero(n, 1, trunc, ring)
-    unit = TruncatedSeries.monomial(ModExponent((0,) * n, 1), one, n, 1, trunc, ring)
+    unit = TruncatedSeries.monomial(ModExponent((0,) * n, 1), ring.one, n, 1, trunc, ring)
     prov = [tuple(unit if j == k else zero for j in range(q)) for k in range(q)]
     for gamma, i, quotients in steps:
         # r = x^gamma * work[i] - sum_j Q_j * work[j]
-        pvec = [p_s.mul_monomial(one, gamma) for p_s in prov[i]]
-        for qj, row in zip(quotients, prov):
-            if qj.is_zero:
-                continue
-            pvec = [acc - qj.mul_series(term) for acc, term in zip(pvec, row)]
-        prov.append(tuple(pvec))
+        negated = [(-qj, row) for qj, row in zip(quotients, prov) if not qj.is_zero]
+        prov.append(tuple(
+            _dot(((nq, row[k]) for nq, row in negated), p_s.mul_monomial(ring.one, gamma))
+            for k, p_s in enumerate(prov[i])))
     return tuple(prov[k] for k in index)
 
 
@@ -209,6 +206,7 @@ def is_member(
 def complete_to_standard_basis(
     order,
     generators: Sequence[TruncatedSeries],
+    *, _target: Optional[Diagram] = None,
 ) -> StandardBasis:
     """Close a generator list under division up to the truncation degree.
 
@@ -217,7 +215,10 @@ def complete_to_standard_basis(
     exponent outside the current staircase and is appended.  Each append
     strictly enlarges the staircase within the finite degree-<= trunc grid,
     so the loop terminates.  Appending keeps earlier cells intact, which is
-    why already-reduced tests never need revisiting.
+    why already-reduced tests never need revisiting.  The loop ends when no
+    test is left, or, given _target (the diagram of a module containing the
+    generators), once each of its vertices starts a list element: a later
+    remainder would have to start inside a cell, so it would be zero.
     """
     gens = list(generators)
     if not gens:
@@ -229,7 +230,6 @@ def complete_to_standard_basis(
         if g.is_zero:
             raise ZeroDivisorError("zero series among the generators")
 
-    one = ring.one
     work = list(gens)
     steps = []  # (gamma, i, quotients) of each appended remainder
     new_dens: list[ParamPolynomial] = []
@@ -244,11 +244,12 @@ def complete_to_standard_basis(
         (gamma, i) for i in range(len(work)) for gamma in part.box_complement_generators(i)
     ]
 
+    target = set(_target.vertices) if _target is not None else None
     cursor = 0
-    while cursor < len(pending):
+    while cursor < len(pending) and not (target and target.issubset(exps)):
         gamma, i = pending[cursor]
         cursor += 1
-        test = work[i].mul_monomial(one, gamma)
+        test = work[i].mul_monomial(ring.one, gamma)
         if test.is_zero:
             continue
         res = hironaka_divide(order, work, test)
@@ -294,48 +295,11 @@ def canonicalize(basis: StandardBasis) -> StandardBasis:
                          canonical=True, new_denominators=tuple(dict.fromkeys(new_dens)))
 
 
-def minimal_generating_subset(
-    order, generators: Sequence[TruncatedSeries]
-) -> tuple[int, tuple[int, ...]]:
-    """Greedy minimal subset generating the same staircase diagram.
-
-    Highest indices are considered for elimination first, so ties resolve to
-    the lowest-index survivors.  The survivor count equals the dimension of
-    the module modulo the maximal ideal, any elimination order agreeing by
-    the usual spanning-set argument.
-    """
-    gens = list(generators)
-    if not gens:
-        raise PreconditionError("no generators given")
-    keep, _ = _greedy_subset(order, gens, complete_to_standard_basis(order, gens).diagram)
-    return len(keep), keep
-
-
-def _greedy_subset(
-    order, pool: Sequence[TruncatedSeries], full: Diagram
-) -> tuple[tuple[int, ...], Optional[StandardBasis]]:
-    """Survivor indices of the greedy pass over pool, and the standard basis
-    of the survivors that was completed when the last drop was accepted
-    (None when nothing was dropped).  full is the diagram to preserve."""
-    keep = list(range(len(pool)))
-    survivors = None
-    for idx in reversed(range(len(pool))):
-        if len(keep) == 1:
-            break
-        candidate = [i for i in keep if i != idx]
-        sub = complete_to_standard_basis(order, [pool[i] for i in candidate])
-        if sub.diagram == full:
-            keep, survivors = candidate, sub
-    return tuple(keep), survivors
-
-
 def residual(
     result: DivisionResult,
     divisors: Sequence[TruncatedSeries],
     dividend: TruncatedSeries,
 ) -> TruncatedSeries:
     """dividend - sum(Q_i * divisor_i) - remainder; zero when exact."""
-    acc = dividend - result.remainder
-    for qi, d in zip(result.quotients, divisors):
-        acc = acc - qi.mul_series(d)
-    return acc
+    return _dot(((-qi, d) for qi, d in zip(result.quotients, divisors)),
+                dividend - result.remainder)

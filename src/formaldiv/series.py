@@ -214,9 +214,10 @@ class TruncatedSeries:
 
 
 def _dot(pairs, start=None) -> TruncatedSeries:
-    """start plus the sum of a.mul_series(b) over pairs, added left to right
-    (the grouping fixes how unreduced localized fractions print); pairs may
-    be empty only when start is given."""
+    """start plus the sum of a.mul_series(b) over pairs, added left to right,
+    which fixes how unreduced localized fractions print: the one series
+    product sum besides _matmul's rational kernel (subtract with -a, as
+    (-a)*b is -(a*b) exactly).  pairs may be empty only when start is given."""
     acc = start
     for a, b in pairs:
         term = a.mul_series(b)

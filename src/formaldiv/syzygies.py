@@ -19,10 +19,10 @@ come from one first-row cofactor expansion that computes each minor once:
 O(m^2 2^m) series products for m kept generators, in the operation order of
 a plain expansion, so unreduced localized fractions print the same.
 
-Each generator list is completed once.  The full list's completion supplies
-the target diagram of both greedy passes (over the generators and over the
-basis), and the completion that accepted a pass's last drop is the basis of
-its survivors, through which the dropped series are expressed.
+Each generator list is completed once, a candidate subset only until it
+reaches the target diagram (the full list's).  A greedy pass, over the
+generators and then the basis, ends at the target's count of lowest-grade
+vertices; the completion that accepted its last drop is the survivors' basis.
 
 Every product of series matrices in a presentation (Xi and Theta, U, each
 eta + Xi*zeta and each adj(U)*v) is one `_matmul`, which sums on ints over
@@ -43,7 +43,6 @@ from . import io
 from .division import (
     DivisionResult,
     StandardBasis,
-    _greedy_subset,
     complete_to_standard_basis,
     hironaka_divide,
 )
@@ -192,6 +191,47 @@ def reduce_relation(h: TruncatedSeries, syz: SyzygyBasis) -> DivisionResult:
     return hironaka_divide(syz.order, syz.relations, h)
 
 
+def minimal_generating_subset(
+    order, generators: Sequence[TruncatedSeries]
+) -> tuple[int, tuple[int, ...]]:
+    """Greedy minimal subset generating the same staircase diagram.
+
+    Highest indices are considered for elimination first, so ties resolve to
+    the lowest-index survivors.  The survivor count equals the dimension of
+    the module modulo the maximal ideal, any elimination order agreeing by
+    the usual spanning-set argument.
+    """
+    gens = list(generators)
+    if not gens:
+        raise PreconditionError("no generators given")
+    keep, _ = _greedy_subset(order, gens, complete_to_standard_basis(order, gens).diagram)
+    return len(keep), keep
+
+
+def _greedy_subset(order, pool, full):
+    """Survivor indices of the greedy pass over the series in pool, and the
+    StandardBasis of the survivors completed when the last drop was accepted
+    (None when nothing was dropped).  full is the diagram pool generates.
+
+    The pass ends when no index is left, or once keep has as many series as
+    full has vertices of lowest grade (order.key's first entry): x^gamma != 1
+    raises the grade, so fewer series cannot reach them all.  A candidate
+    lies in the module, so its completion may stop at full's vertices.
+    """
+    grades = [order.key(v)[0] for v in full.vertices]
+    floor = grades.count(min(grades))
+    keep = list(range(len(pool)))
+    survivors = None
+    for idx in reversed(range(len(pool))):
+        if len(keep) == floor:
+            break
+        candidate = [i for i in keep if i != idx]
+        sub = complete_to_standard_basis(order, [pool[i] for i in candidate], _target=full)
+        if sub.diagram == full:
+            keep, survivors = candidate, sub
+    return tuple(keep), survivors
+
+
 # ---------------------------------------------------------------------------
 # small dense matrices of one-component series
 # ---------------------------------------------------------------------------
@@ -199,11 +239,9 @@ def reduce_relation(h: TruncatedSeries, syz: SyzygyBasis) -> DivisionResult:
 def _det_adj(m, one):
     """(det, adjugate) of a nonempty square matrix of one-component series.
 
-    Every minor is expanded along its first row, so each entry is the same
-    sum of the same products, in the same order, as a plain recursive
-    cofactor expansion; localized fractions are never reduced, so that order
-    fixes their printed form.  Each minor is memoized on its (rows, cols)
-    index tuples, which costs O(m^2 2^m) series products instead of O(m!).
+    Every minor is the `_dot` of its first-row expansion, with the sums and
+    their order of a plain recursive cofactor expansion, and is memoized on
+    its (rows, cols) index tuples: O(m^2 2^m) series products, not O(m!).
     """
     memo = {}
 
@@ -212,13 +250,9 @@ def _det_adj(m, one):
             return m[rows[0]][cols[0]] if rows else one
         key = (rows, cols)
         if key not in memo:
-            acc = None
-            for k, c in enumerate(cols):
-                term = m[rows[0]][c].mul_series(det(rows[1:], cols[:k] + cols[k + 1:]))
-                if k % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-            memo[key] = acc
+            top, rest = m[rows[0]], rows[1:]
+            memo[key] = _dot((-top[c] if k % 2 else top[c], det(rest, cols[:k] + cols[k + 1:]))
+                             for k, c in enumerate(cols))
         return memo[key]
 
     full = tuple(range(len(m)))
@@ -242,8 +276,7 @@ def _matmul(a, b, start=None):
     term is kept iff its index is below (D + 1)*R^n.  The products are
     summed as ints and each entry is reduced once; rationals print
     canonically, so the order of that sum cannot show.  Other rings sum with
-    the series operators, left to right from start, because their unreduced
-    fractions print by the grouping of the sum.
+    `_dot`, left to right from start.
     """
     cols = range(len(b[0]) if b else len(start[0]) if start else 0)
     first = next((s for mat in (a, b, start or ()) for row in mat for s in row), None)

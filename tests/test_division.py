@@ -14,8 +14,9 @@ from formaldiv import (
     minimal_generating_subset,
 )
 from formaldiv import io
-from formaldiv.division import _greedy_subset, residual
+from formaldiv.division import residual
 from formaldiv.errors import AmbientMismatchError, PreconditionError, ZeroDivisorError
+from formaldiv.syzygies import _greedy_subset
 
 import oracle
 from helpers import mono, random_division_instance, random_series, ser, unit_order

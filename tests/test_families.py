@@ -249,6 +249,26 @@ def test_relations_check_skips_certificate_zero():
     assert report.all_passed
 
 
+def test_relations_check_certificates_come_from_kept_computations():
+    # three of the four generators are needed for the diagram's three
+    # degree-1 vertices; completing a two-series candidate, which the
+    # minimal-subset pass rejects unseen, would register t + 13/6.  No kept
+    # computation divides by it, and at t = -13/6 the check passes.
+    def series(*terms):
+        return {"terms": [{"component": 1, "exponent": e, "coeff": c} for e, c in terms]}
+
+    pm = io.load_module_data({"n": 3, "p": 1, "D": 3, "parameters": ["t"], "series": [
+        series(([2, 0, 1], "-t - 2"), ([0, 1, 0], "2"), ([0, 2, 1], "-3*t + 3")),
+        series(([0, 0, 1], "-2*t - 3"), ([0, 1, 0], "-2"), ([1, 0, 0], "t - 1")),
+        series(([0, 1, 0], "3"), ([1, 0, 0], "1"), ([0, 0, 1], "-2")),
+        series(([2, 0, 1], "-1"), ([3, 0, 0], "-t + 3")),
+    ]}).param_module()
+    report = specialized_relations_check(pm, [(Fraction(-13, 6),), (Fraction(-3, 2),)])
+    assert [str(g) for g in report.presentation.denominator_generators] == ["t + 3/2"]
+    assert [rec.status for rec in report.records] == ["ok", "skipped"]
+    assert report.records[0].all_spanned
+
+
 def test_relations_check_single_generator_trivial():
     pm = family_xi()
     report = specialized_relations_check(pm, [(1,), (2,)])

@@ -1,8 +1,9 @@
 """Property tests: the division contract and the order keys, on random QQ
 series under random positive weights (fractional ones included), the
-rational coefficient literals a module file may hold, and the sparse exact
+rational coefficient literals a module file may hold, the sparse exact
 linear algebra and the relations-check spanning decision against the dense
-oracle."""
+oracle, and the greedy minimal-subset pass and the completions it stops
+early against a copy of the full pass."""
 
 import ast
 from datetime import timedelta
@@ -12,7 +13,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from formaldiv import (
     QQ,
@@ -25,16 +26,18 @@ from formaldiv import (
     Ordering,
     StandardOrder,
     TruncatedSeries,
+    complete_to_standard_basis,
     hironaka_divide,
     io,
     parse_coefficient,
+    standard_relations,
 )
 from formaldiv.division import residual
 from formaldiv.errors import DegenerateFamilyError, ExpressionError, SchemaError
 from formaldiv.exponents import SyzygyOrder, add_alpha
 from formaldiv.families import _all_spanned, oracle_relations
 from formaldiv.linalg import kernel_basis, rref
-from formaldiv.syzygies import relations_of_generators
+from formaldiv.syzygies import _greedy_subset, relations_of_generators
 
 import oracle
 
@@ -465,3 +468,115 @@ def test_all_spanned_agrees_with_the_oracle(inst):
     assert _all_spanned(rels, gens, hs) == all(
         oracle.spanned_modulo_inert(gens, rels, h) for h in hs
     )
+
+
+# -- greedy minimal subsets ------------------------------------------------------
+
+def _full_greedy_pass(order, pool, full):
+    """The greedy pass with no grade floor and no completion target: every
+    index is tried until one series is left, and each candidate is
+    completed to the end."""
+    keep = list(range(len(pool)))
+    survivors = None
+    for idx in reversed(range(len(pool))):
+        if len(keep) == 1:
+            break
+        candidate = [i for i in keep if i != idx]
+        sub = complete_to_standard_basis(order, [pool[i] for i in candidate])
+        if sub.diagram == full:
+            keep, survivors = candidate, sub
+    return tuple(keep), survivors
+
+
+def _printed(s):
+    return {e: str(c) for e, c in s.terms.items()}
+
+
+def _basis_record(basis):
+    """What a StandardBasis holds, coefficients as printed: its diagram,
+    elements, (q, steps, index) record and new denominators."""
+    if basis is None:
+        return None
+    q, steps, index = basis._record
+    return (basis.diagram.vertices, [_printed(e) for e in basis.elements], q,
+            [(gamma, i, [_printed(qj) for qj in quotients]) for gamma, i, quotients in steps],
+            index, [str(g) for g in basis.new_denominators])
+
+
+def _assert_greedy_matches_the_full_pass(order, pool, full):
+    keep, survivors = _greedy_subset(order, pool, full)
+    ref_keep, ref_survivors = _full_greedy_pass(order, pool, full)
+    assert keep == ref_keep
+    assert _basis_record(survivors) == _basis_record(ref_survivors)
+
+
+@st.composite
+def generator_lists(draw, min_size=1):
+    n, p, trunc, order = draw(ambients())
+    return order, draw(st.lists(series(n, p, trunc, 4), min_size=min_size, max_size=4))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(generator_lists())
+def test_greedy_subset_matches_the_full_pass(inst):
+    order, gens = inst
+    basis = complete_to_standard_basis(order, gens)
+    _assert_greedy_matches_the_full_pass(order, gens, basis.diagram)
+    _assert_greedy_matches_the_full_pass(order, list(basis.elements), basis.diagram)
+
+
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(generator_lists(min_size=2), st.data())
+def test_greedy_subset_matches_the_full_pass_on_relation_vectors(inst, data):
+    """Pools of relation vectors under a SyzygyOrder: the distinguished
+    relations of a basis, with a monomial multiple of one of them and a
+    sum of two appended so that some are redundant."""
+    order, gens = inst
+    syz = standard_relations(complete_to_standard_basis(order, gens))
+    assume(syz.relations)
+    rels = list(syz.relations)
+    shift = data.draw(st.lists(st.integers(0, 1), min_size=order.n, max_size=order.n))
+    pool = rels + [rels[-1].mul_monomial(QQ.one, shift), rels[0] + rels[-1]]
+    pool = [r for r in pool if not r.is_zero]
+    full = complete_to_standard_basis(syz.order, pool).diagram
+    _assert_greedy_matches_the_full_pass(syz.order, pool, full)
+
+
+def test_greedy_subset_matches_the_full_pass_over_a_localized_basis():
+    """family_xi.json's basis has a redundant element.  Each pass runs on
+    a fresh parse, so both start from an empty denominator registry and
+    must leave the same one behind."""
+    path = Path(__file__).parent / "fixtures" / "family_xi.json"
+
+    def run(greedy, source):
+        pm = io.parse_module_file(path).param_module()
+        ring, gens = pm.localized()
+        basis = complete_to_standard_basis(pm.order, gens)
+        pool = list(basis.elements) if source == "basis" else list(gens)
+        keep, survivors = greedy(pm.order, pool, basis.diagram)
+        return keep, _basis_record(survivors), [str(g) for g in ring.dset.generators]
+
+    for source in ("basis", "generators"):
+        assert run(_greedy_subset, source) == run(_full_greedy_pass, source)
+    assert run(_greedy_subset, "basis")[1] is not None
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(generator_lists())
+def test_completion_with_its_target_keeps_the_full_record(inst):
+    """Whenever a list generates the module whose diagram is the target, the
+    completion that stops at the target's vertices returns what the full
+    completion does: the sublists of the generators that do, the basis,
+    and the basis with the generators after it."""
+    order, gens = inst
+    basis = complete_to_standard_basis(order, gens)
+    full = basis.diagram
+    lists = [list(basis.elements), list(basis.elements) + gens]
+    lists += [[gens[i] for i in range(len(gens)) if mask >> i & 1]
+              for mask in range(1, 2 ** len(gens))]
+    for lst in lists:
+        plain = complete_to_standard_basis(order, lst)
+        if plain.diagram == full:
+            targeted = complete_to_standard_basis(order, lst, _target=full)
+            assert _basis_record(targeted) == _basis_record(plain)

@@ -23,6 +23,7 @@ from formaldiv import (
 )
 from formaldiv import io
 from formaldiv.coefficients import LocalizedFraction
+from formaldiv.division import DivisionResult, _replay_completion, residual
 from formaldiv.errors import NotARelationError
 from formaldiv.exponents import iter_alphas
 from formaldiv import syzygies
@@ -225,10 +226,10 @@ def _completion_counts(monkeypatch, order, gens):
     counts = {}
     complete = division.complete_to_standard_basis
 
-    def counted(order, generators):
+    def counted(order, generators, **kwargs):
         key = tuple(map(id, generators))
         counts[key] = counts.get(key, 0) + 1
-        return complete(order, generators)
+        return complete(order, generators, **kwargs)
 
     monkeypatch.setattr(division, "complete_to_standard_basis", counted)
     monkeypatch.setattr(syzygies, "complete_to_standard_basis", counted)
@@ -252,6 +253,11 @@ def test_presentation_completes_each_list_once(monkeypatch, source):
     assert len(pres.subset) < len(gens)
     assert counts[tuple(map(id, gens))] == 1
     assert counts[tuple(id(gens[i]) for i in pres.subset)] == 1
+    if source == "worked_example":
+        # the full list and the accepted candidate (x^2, y^2); both greedy
+        # passes then keep as many series as the diagram's two quadratic
+        # vertices, so no candidate that must be rejected is completed
+        assert sum(counts.values()) == 2
 
 
 def test_presentation_already_minimal():
@@ -407,13 +413,15 @@ def _rational_coeff(rng):
     return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
 
 
-def _localized_coeff_maker():
-    """Coefficients over the localized ring of family_relations.json, with
-    the denominators its presentation registers."""
-    path = Path(__file__).parent / "fixtures" / "family_relations.json"
-    pm = io.parse_module_file(str(path)).param_module()
-    ring, gens = pm.localized()
-    relations_of_generators(pm.order, gens)
+def _localized_coeff_maker(pres=None):
+    """Coefficients over the localized ring of a one-parameter presentation
+    (family_relations.json's by default), with the denominators it
+    registered."""
+    if pres is None:
+        path = Path(__file__).parent / "fixtures" / "family_relations.json"
+        pm = io.parse_module_file(str(path)).param_module()
+        pres = relations_of_generators(pm.order, pm.localized()[1])
+    ring = pres.generators[0].ring
     dset = ring.dset
     assert dset.generators
     (name,) = ring.names
@@ -456,6 +464,160 @@ def test_det_adj_matches_leibniz_and_adjugate_identity(ring_name, size):
         det, adj = _det_adj(u, one)
         assert det == _leibniz_det(u)
         _assert_adjugate_identity(u, det, adj)
+
+
+# The sums that `_dot` replaced in the determinant and adjugate, the
+# provenance replay and the division residual, as they were written out by
+# hand.  A localized fraction prints by the grouping of the sum that built
+# it, so the `_dot` versions must print the same, not only be equal.
+
+def _handwritten_det_adj(m, one):
+    memo = {}
+
+    def det(rows, cols):
+        if len(rows) <= 1:
+            return m[rows[0]][cols[0]] if rows else one
+        key = (rows, cols)
+        if key not in memo:
+            acc = None
+            for k, c in enumerate(cols):
+                term = m[rows[0]][c].mul_series(det(rows[1:], cols[:k] + cols[k + 1:]))
+                if k % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            memo[key] = acc
+        return memo[key]
+
+    full = tuple(range(len(m)))
+    adj = [[None] * len(m) for _ in full]
+    for i in full:
+        for j in full:
+            cof = det(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    return det(full, full), adj
+
+
+def _handwritten_replay(first, q, steps, index):
+    n, trunc, ring = first.n, first.trunc, first.ring
+    zero = TruncatedSeries.zero(n, 1, trunc, ring)
+    unit = TruncatedSeries.monomial(ModExponent((0,) * n, 1), ring.one, n, 1, trunc, ring)
+    prov = [tuple(unit if j == k else zero for j in range(q)) for k in range(q)]
+    for gamma, i, quotients in steps:
+        pvec = [p_s.mul_monomial(ring.one, gamma) for p_s in prov[i]]
+        for qj, row in zip(quotients, prov):
+            if qj.is_zero:
+                continue
+            pvec = [acc - qj.mul_series(term) for acc, term in zip(pvec, row)]
+        prov.append(tuple(pvec))
+    return tuple(prov[k] for k in index)
+
+
+def _handwritten_residual(result, divisors, dividend):
+    acc = dividend - result.remainder
+    for qi, d in zip(result.quotients, divisors):
+        acc = acc - qi.mul_series(d)
+    return acc
+
+
+def _printed(rows):
+    """A matrix of series as {exponent: printed coefficient} dicts."""
+    return [[{e: str(c) for e, c in s.terms.items()} for s in row] for row in rows]
+
+
+def _constant_series(ring, *terms, den=False):
+    """A series in 2 variables at D = 3 from (alpha, int) terms, each
+    coefficient divided by the ring's first registered denominator if den
+    (by 3 over QQ)."""
+    dset = getattr(ring, "dset", None)
+
+    def value(v):
+        if dset is None:
+            return Fraction(v, 3 if den else 1)
+        return LocalizedFraction(ring.base.from_int(v), {0: int(den)}, dset)
+
+    return TruncatedSeries(2, 1, 3, ring, {ModExponent(a, 1): value(v) for a, v in terms})
+
+
+def _cancelling_matrix(ring):
+    """Rows (p, q, c), (p, q, 0), (s, u, t), whose first-row expansion
+    starts with p*(q*t) - q*(p*t) = 0: over a localized ring, a sum that
+    adds c*(p*u - q*s) before that pair cancels keeps the denominators of
+    p*q*t in the determinant's printed coefficients."""
+    p = _constant_series(ring, ((0, 0), 1), ((1, 0), 1), den=True)
+    q = _constant_series(ring, ((0, 1), 1), den=True)
+    t = _constant_series(ring, ((0, 0), 1), den=True)
+    c = _constant_series(ring, ((0, 0), 1), ((1, 0), 1))
+    s, u = _constant_series(ring, ((0, 0), 1)), _constant_series(ring, ((0, 1), 1))
+    return [[p, q, c], [p, q, _constant_series(ring)], [s, u, t]]
+
+
+def _cancelling_record(ring):
+    """A provenance record and a division result over ring whose sums are
+    1 - a - c with a = -c = 1/g, g the first registered denominator (3 over
+    QQ): added left to right, 1 - a keeps g in the denominator, so the sum
+    prints as g/g; grouped as 1 - (a + c) it would print as 1."""
+    one, zero = _constant_series(ring, ((0, 0), 1)), _constant_series(ring)
+    a = _constant_series(ring, ((0, 0), 1), den=True)
+    c = _constant_series(ring, ((0, 0), -1), den=True)
+    # work[2] = work[0] copied; work[3] = work[0] - a*work[0] - c*work[2]
+    steps = (((0, 0), 0, (zero, zero)), ((0, 0), 0, (a, zero, c)))
+    return (one, 2, steps, (3,)), (DivisionResult((a, c), zero, None), (one, one), one)
+
+
+def _rational_presentation(rng):
+    """A QQ presentation of three random generators in 2 variables whose
+    completion appends remainders and keeps at least two generators."""
+    while True:
+        gens = [random_series(rng, 2, 1, 5, max_terms=4) for _ in range(3)]
+        pres = relations_of_generators(unit_order(2), gens)
+        if pres.basis._record[1] and pres.m >= 2:
+            return pres
+
+
+@pytest.mark.parametrize("source", ["QQ", "family_adjugate.json", "family_relations.json"])
+def test_dot_sums_print_as_the_handwritten_sums(source):
+    rng = random.Random(131)
+    if source == "QQ":
+        pres, coeff = _rational_presentation(rng), _rational_coeff
+    else:
+        path = Path(__file__).parent / "fixtures" / source
+        pm = io.parse_module_file(str(path)).param_module()
+        pres = relations_of_generators(pm.order, pm.localized()[1])
+        coeff = _localized_coeff_maker(pres)[1]
+    order, gens, basis = pres.basis.order, pres.generators, pres.basis
+    ring = gens[0].ring
+
+    def one(s):
+        return TruncatedSeries.monomial(
+            ModExponent((0,) * s.n, 1), ring.one, s.n, 1, s.trunc, ring)
+
+    matrices = [pres.u_matrix, _cancelling_matrix(ring)] + [
+        _random_series_matrix(rng, size, ring, coeff) for size in (2, 3, 4) for _ in range(3)]
+    for u in matrices:
+        det, adj = _det_adj(u, one(u[0][0]))
+        ref_det, ref_adj = _handwritten_det_adj(u, one(u[0][0]))
+        assert _printed([[det], *adj]) == _printed([[ref_det], *ref_adj])
+
+    # the presentation's basis and completions of random lists over its ring
+    alphas = [a for a in iter_alphas(2, 3) if sum(a)]
+    bases = [basis] + [complete_to_standard_basis(unit_order(2), [
+        TruncatedSeries(2, 1, 4, ring, {ModExponent(a, 1): coeff(rng)
+                                        for a in rng.sample(alphas, 3)})
+        for _ in range(3)]) for _ in range(4)]
+    assert any(b._record[1] for b in bases), "no completion appended a remainder"
+    for b in bases:
+        replayed = _handwritten_replay(b.elements[0], *b._record)
+        assert _printed(b.provenance) == _printed(replayed)
+
+    record, (result, divisors, dividend) = _cancelling_record(ring)
+    assert _printed(_replay_completion(*record)) == _printed(_handwritten_replay(*record))
+
+    cases = [(result, divisors, dividend)] + [
+        (hironaka_divide(order, basis.elements, f), basis.elements, g)
+        for f in gens for g in gens]
+    for res, divisors, dividend in cases:
+        assert _printed([[residual(res, divisors, dividend)]]) == _printed(
+            [[_handwritten_residual(res, divisors, dividend)]])
 
 
 def test_presentation_m8_monomial_tail():
