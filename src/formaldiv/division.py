@@ -81,27 +81,26 @@ class StandardBasis:
 
 def _replay_completion(first, q, steps, index):
     """Provenance of the work list elements at index, from the completion's
-    (gamma, i, quotients) steps over q generators."""
+    (gamma, i, quotients) steps over q generators.  Only a presentation,
+    which loads `syzygies`, reads it, so a division never compiles `_matmul`."""
+    from .syzygies import _matmul
     n, trunc, ring = first.n, first.trunc, first.ring
     zero = TruncatedSeries.zero(n, 1, trunc, ring)
     unit = TruncatedSeries.monomial(ModExponent((0,) * n, 1), ring.one, n, 1, trunc, ring)
     prov = [tuple(unit if j == k else zero for j in range(q)) for k in range(q)]
     for gamma, i, quotients in steps:
         # r = x^gamma * work[i] - sum_j Q_j * work[j]
-        negated = [(-qj, row) for qj, row in zip(quotients, prov) if not qj.is_zero]
-        prov.append(tuple(
-            _dot(((nq, row[k]) for nq, row in negated), p_s.mul_monomial(ring.one, gamma))
-            for k, p_s in enumerate(prov[i])))
+        nonzero = [j for j, qj in enumerate(quotients) if not qj.is_zero]
+        (row,) = _matmul([[-quotients[j] for j in nonzero]], [prov[j] for j in nonzero],
+                         start=[[p_s.mul_monomial(ring.one, gamma) for p_s in prov[i]]])
+        prov.append(tuple(row))
     return tuple(prov[k] for k in index)
 
 
 def _replay_canonical(source, rows):
-    """Provenance of canonical elements sum_j Q_j * source_j."""
-    prov = source.provenance
-    return tuple(
-        tuple(_dot(zip(quotients, column)) for column in zip(*prov))
-        for quotients in rows
-    )
+    """Provenance of canonical elements sum_j Q_j * source_j; see above on `_matmul`."""
+    from .syzygies import _matmul
+    return tuple(map(tuple, _matmul(rows, source.provenance)))
 
 
 def _ensure_unit(ring, coeff, sink: list):

@@ -131,14 +131,6 @@ class SemicontinuityReport(NamedTuple):
     refinement: Optional[RefinementInfo] = None
 
 
-def _specialized_diagram(pm: ParamModule, point) -> Diagram:
-    gens_a = specialize(pm, point)
-    nonzero = [g for g in gens_a if not g.is_zero]
-    if not nonzero:
-        return Diagram(pm.n, pm.p, [], pm.order)
-    return complete_to_standard_basis(pm.order, nonzero).diagram
-
-
 def _census_of(diagrams: list[Diagram]) -> list[tuple[Diagram, int]]:
     counts: dict = {}
     for d in diagrams:
@@ -161,16 +153,28 @@ def semicontinuity_scan(
     is evidence about the sampled points only.
     """
     generic, certs = generic_diagram(pm)
+    found = {}  # each distinct point's diagram, or the VanishingDenominatorError raised
+
+    def diagram_at(raw):
+        point = tuple(Fraction(v) for v in raw)
+        if point not in found:
+            try:
+                nonzero = [g for g in specialize(pm, point) if not g.is_zero]
+            except VanishingDenominatorError as exc:
+                found[point] = exc
+            else:
+                found[point] = (complete_to_standard_basis(pm.order, nonzero).diagram
+                                if nonzero else Diagram(pm.n, pm.p, [], pm.order))
+        return point, found[point]
+
     records = []
     diagrams = []
     semicontinuity_ok = True
     genericity_ok = True
     for raw in points:
-        point = tuple(Fraction(v) for v in raw)
-        try:
-            na = _specialized_diagram(pm, point)
-        except VanishingDenominatorError as exc:
-            records.append(PointRecord(point, "skipped", reason=str(exc)))
+        point, na = diagram_at(raw)
+        if isinstance(na, VanishingDenominatorError):
+            records.append(PointRecord(point, "skipped", reason=str(na)))
             continue
         cmpr = compare_diagrams(generic, na)
         flags = certs.flags_at(point)
@@ -184,12 +188,7 @@ def semicontinuity_scan(
 
     refinement = None
     if refine_points is not None:
-        refined = []
-        for raw in refine_points:
-            try:
-                refined.append(_specialized_diagram(pm, tuple(Fraction(v) for v in raw)))
-            except VanishingDenominatorError:
-                continue
+        refined = [d for _, d in map(diagram_at, refine_points) if isinstance(d, Diagram)]
         stable = {d.census_key() for d in refined} == {d.census_key() for d in diagrams}
         refinement = RefinementInfo(census=_census_of(refined), stable=stable)
 

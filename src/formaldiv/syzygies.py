@@ -25,9 +25,10 @@ generators and then the basis, ends at the target's count of lowest-grade
 vertices; the completion that accepted its last drop is the survivors' basis.
 
 Every product of series matrices in a presentation (Xi and Theta, U, each
-eta + Xi*zeta and each adj(U)*v) is one `_matmul`, which sums on ints over
-the rationals and with the series operators, left to right, over the
-parametric rings, whose unreduced fractions print by that order.
+eta + Xi*zeta and each adj(U)*v) and in `division`'s provenance replays is
+one `_matmul`, which sums on ints over the rationals and with `_dot`, left
+to right, over the parametric rings, whose unreduced fractions print by
+that order.
 
 The `syzygy` and `relations` results are shaped as JSON here, so a call that
 computes no relations loads none of it.
@@ -96,10 +97,9 @@ class SyzygyBasis(NamedTuple):
 
 
 def _relations_core(order, elements: Sequence[TruncatedSeries]):
-    """Syzygy order, diagram and distinguished relations of an ordered list."""
+    """Syzygy order, diagram and distinguished relations of an ordered list,
+    each relation the list of its one-component entries."""
     ring = elements[0].ring
-    n, trunc = elements[0].n, elements[0].trunc
-    r = len(elements)
     exps = [e.initial(order).exponent for e in elements]
     partition = DeltaPartition(exps)
     syz_order = syzygy_order_for(exps, order.form)
@@ -114,14 +114,18 @@ def _relations_core(order, elements: Sequence[TruncatedSeries]):
                 f"monomial multiple x^{gamma} of element {slot} does not reduce "
                 "to zero; the list is not a standard basis at this truncation"
             )
-        terms = {}
-        for j, qj in enumerate(res.quotients):
-            for be, c in qj.terms.items():
-                terms[ModExponent(be.alpha, j + 1)] = -c
-        head = ModExponent(gamma, slot)
-        terms[head] = terms.get(head, ring.zero) + ring.one
-        relations.append(TruncatedSeries(n, r, trunc, ring, terms))
-    return syz_order, ndiag, tuple(relations)
+        entries = [-qj for qj in res.quotients]
+        entries[slot - 1] += TruncatedSeries.monomial(
+            ModExponent(gamma, 1), ring.one, test.n, 1, test.trunc, ring)
+        relations.append(entries)
+    return syz_order, ndiag, relations
+
+
+def _vector(entries, slots, p):
+    """The p-slot vector holding each one-component entry in its 0-based slot."""
+    terms = {ModExponent(e.alpha, k + 1): c
+             for s, k in zip(entries, slots) for e, c in s.terms.items()}
+    return TruncatedSeries(entries[0].n, p, entries[0].trunc, entries[0].ring, terms)
 
 
 def standard_relations(basis: StandardBasis) -> SyzygyBasis:
@@ -129,7 +133,9 @@ def standard_relations(basis: StandardBasis) -> SyzygyBasis:
     if not basis.elements:
         raise PreconditionError("empty basis has no relation module")
     order, diagram, relations = _relations_core(basis.order, basis.elements)
-    return SyzygyBasis(basis, order, diagram, relations)
+    r = len(basis.elements)
+    vectors = tuple(_vector(rel, range(r), r) for rel in relations)
+    return SyzygyBasis(basis, order, diagram, vectors)
 
 
 def relation_defect(
@@ -267,6 +273,7 @@ def _det_adj(m, one):
 def _matmul(a, b, start=None):
     """The product of two matrices of one-component series, plus start if
     given: entry (i, j) is start[i][j] + sum over t of a[i][t] * b[t][j].
+    It is every matrix product of a presentation and of a provenance replay.
 
     Over the rationals, a is packed over one denominator and b with start
     over another, each entry as (index, numerator) int pairs sorted by a
@@ -423,14 +430,14 @@ def relations_of_generators(
     # Theta: dropped generators in terms of the kept ones (m x (q-m))
     theta = _express_in_subset(order, kept_gens, m, [gens[t] for t in rest_phi])
 
-    # T: kept generators through the full (permuted) basis (r x m)
-    t_matrix = [[None] * m for _ in range(r)]
-    for jcol, gi in enumerate(keep_phi):
+    # T: kept generators through the full (permuted) basis (r x m), by columns
+    t_columns = []
+    for gi in keep_phi:
         res = hironaka_divide(order, elements_perm, gens[gi])
         if not res.remainder.is_zero:
             raise InvariantError("generator fails to reduce through its own basis")
-        for jrow in range(r):
-            t_matrix[jrow][jcol] = res.quotients[jrow]
+        t_columns.append(res.quotients)
+    t_matrix = list(zip(*t_columns))
 
     # U = T_top + Xi * T_bottom, an m x m change of generators
     u_matrix = t_matrix[:m]
@@ -445,22 +452,15 @@ def relations_of_generators(
             "constant term of the change-of-generators matrix is singular"
         )
 
-    def in_slots(column):
-        # the terms of a q-vector holding column[i] in kept generator i's slot
-        return {ModExponent(e.alpha, perm_phi[i] + 1): c
-                for i, s in enumerate(column) for e, c in s.terms.items()}
-
     # each basis relation, eta its first m entries and zeta the rest, pulled
-    # back as adj(U) * (eta + Xi * zeta); columns index the relations
+    # back as adj(U) * (eta + Xi * zeta); then e_l - Theta_l per dropped l
     p_rels = _relations_core(order, elements_perm)[2]
-    entries = [[rel.component(k + 1) for rel in p_rels] for k in range(r)]
+    entries = [[rel[k] for rel in p_rels] for k in range(r)]
     v = _matmul(xi, entries[m:], start=entries[:m])
-    relations = [TruncatedSeries(n, q, trunc, ring, terms)
-                 for terms in map(in_slots, zip(*_matmul(u_adj, v))) if terms]
-    for l, orig in enumerate(rest_phi):
-        terms = {ModExponent((0,) * n, orig + 1): ring.one,
-                 **in_slots(-theta[i][l] for i in range(m))}
-        relations.append(TruncatedSeries(n, q, trunc, ring, terms))
+    pulled = (_vector(column, perm_phi, q) for column in zip(*_matmul(u_adj, v)))
+    relations = [vec for vec in pulled if not vec.is_zero] + [
+        _vector([one_series, *(-row[l] for row in theta)], [orig, *perm_phi], q)
+        for l, orig in enumerate(rest_phi)]
 
     dset = getattr(ring, "dset", None)
     dens = tuple(dset.generators) if dset is not None else ()

@@ -208,6 +208,40 @@ def test_scan_census_stable_under_refinement():
         assert report.refinement.stable
 
 
+def test_scan_specializes_each_distinct_point_once(monkeypatch):
+    # `semicont-scan --grid xi1:-2..2 --refine` on family_pivot.json: the 9
+    # refinement points hold the 5 grid points, which took 14 specializations
+    from formaldiv import families
+    specialized = []
+    real = families.specialize
+
+    def counted(pm, point):
+        specialized.append(tuple(point))
+        return real(pm, point)
+
+    monkeypatch.setattr(families, "specialize", counted)
+    pm = io.parse_module_file(
+        str(Path(__file__).parent / "fixtures" / "family_pivot.json")).param_module()
+    base = grid_points([(-2, 2)], step=Fraction(1))
+    refined = grid_points([(-2, 2)], step=Fraction(1, 2))
+    report = semicontinuity_scan(pm, base + base, refine_points=refined)
+    assert sorted(specialized) == sorted(refined)
+    assert report.records[:5] == report.records[5:]
+    assert sum(count for _, count in report.refinement.census) == 9
+
+    # a skip found by the main pass is reused too
+    ring = PolynomialRing(("xi",))
+    xi = parse_coefficient("xi", ("xi",))
+    g = TruncatedSeries(1, 1, 4, ring, {ModExponent((1,), 1): xi, ModExponent((2,), 1): ring.one})
+    pm = ParamModule(order=unit_order(1), generators=(g,), param_names=("xi",),
+                     denominator_seed=(xi,))
+    specialized.clear()
+    report = semicontinuity_scan(pm, [(0,), (1,)], refine_points=[(0,), (Fraction(1, 2),), (1,)])
+    assert sorted(specialized) == [(0,), (Fraction(1, 2),), (1,)]
+    assert [rec.status for rec in report.records] == ["skipped", "ok"]
+    assert sum(count for _, count in report.refinement.census) == 2
+
+
 def test_scan_random_points_all_families():
     for k, pm in enumerate(catalog.bundled_families()):
         pts = sample_points(len(pm.param_names), 25, seed=500 + k)

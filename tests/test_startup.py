@@ -91,8 +91,8 @@ def test_rational_divide_loads_a_bounded_amount_of_source(tmp_path):
         "cli", "io", "errors", "rationals", "exponents", "series", "division",
     }
     assert source_lines(names) <= RATIONAL_DIVIDE_LINE_BUDGET
-    # what it loaded when the minimal-subset pass moved to syzygies
-    assert source_lines(names) <= 1721
+    # what it loaded when the provenance replays became `_matmul` products
+    assert source_lines(names) <= 1720
 
 
 @pytest.mark.parametrize("argv", [
@@ -134,8 +134,8 @@ def test_relations_loads_syzygies_but_not_families(tmp_path):
     assert not mods & {"coefficients", "families", "linalg"}
     if NO_HASHLIB:
         assert "hashlib" not in names
-    # what it loaded when every sum of series products became one _dot
-    assert source_lines(names) <= 2246
+    # what it loaded when the basis relations became lists of entries
+    assert source_lines(names) <= 2245
 
 
 def test_parametric_divide_loads_coefficients(tmp_path):

@@ -13,6 +13,7 @@ from formaldiv import (
     DeltaPartition,
     ModExponent,
     TruncatedSeries,
+    canonicalize,
     complete_to_standard_basis,
     hironaka_divide,
     reduce_relation,
@@ -22,8 +23,8 @@ from formaldiv import (
     syzygy_order_for,
 )
 from formaldiv import io
-from formaldiv.coefficients import LocalizedFraction
-from formaldiv.division import DivisionResult, _replay_completion, residual
+from formaldiv.coefficients import LocalizedFraction, ParamPolynomial
+from formaldiv.division import DivisionResult, StandardBasis, _replay_completion, residual
 from formaldiv.errors import NotARelationError
 from formaldiv.exponents import iter_alphas
 from formaldiv import syzygies
@@ -512,6 +513,21 @@ def _handwritten_replay(first, q, steps, index):
     return tuple(prov[k] for k in index)
 
 
+def _handwritten_canonical_replay(source, rows):
+    prov = source.provenance
+    out = []
+    for quotients in rows:
+        entries = []
+        for k in range(len(prov[0])):
+            acc = None
+            for qj, prov_j in zip(quotients, prov):
+                term = qj.mul_series(prov_j[k])
+                acc = term if acc is None else acc + term
+            entries.append(acc)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
 def _handwritten_residual(result, divisors, dividend):
     acc = dividend - result.remainder
     for qi, d in zip(result.quotients, divisors):
@@ -564,6 +580,19 @@ def _cancelling_record(ring):
     return (one, 2, steps, (3,)), (DivisionResult((a, c), zero, None), (one, one), one)
 
 
+def _cancelling_canonical(ring):
+    """A canonical basis over ring whose one element is 1*s0 + a*s1 + c*s2,
+    with a and c as in _cancelling_record and each source element s_j
+    recorded as the first generator, so its provenance entry is 1 + a + c:
+    left to right it keeps g in the denominator, grouped as 1 + (a + c) it
+    would not."""
+    (one, _, steps, _), _ = _cancelling_record(ring)
+    a = _constant_series(ring, ((0, 0), 1), den=True)
+    c = _constant_series(ring, ((0, 0), -1), den=True)
+    source = StandardBasis(None, (one, one, one), None, (2, steps[:1], (0, 2, 0)))
+    return StandardBasis(None, (one,), None, (source, ((one, a, c),)), canonical=True)
+
+
 def _rational_presentation(rng):
     """A QQ presentation of three random generators in 2 variables whose
     completion appends remainders and keeps at least two generators."""
@@ -608,6 +637,12 @@ def test_dot_sums_print_as_the_handwritten_sums(source):
     for b in bases:
         replayed = _handwritten_replay(b.elements[0], *b._record)
         assert _printed(b.provenance) == _printed(replayed)
+        canonical = canonicalize(b)
+        replayed = _handwritten_canonical_replay(*canonical._record)
+        assert _printed(canonical.provenance) == _printed(replayed)
+    canonical = _cancelling_canonical(ring)
+    replayed = _handwritten_canonical_replay(*canonical._record)
+    assert _printed(canonical.provenance) == _printed(replayed)
 
     record, (result, divisors, dividend) = _cancelling_record(ring)
     assert _printed(_replay_completion(*record)) == _printed(_handwritten_replay(*record))
@@ -618,6 +653,61 @@ def test_dot_sums_print_as_the_handwritten_sums(source):
     for res, divisors, dividend in cases:
         assert _printed([[residual(res, divisors, dividend)]]) == _printed(
             [[_handwritten_residual(res, divisors, dividend)]])
+
+
+def _count_products(monkeypatch):
+    """Live counts of series products and of parameter polynomial products."""
+    counts = {"mul_series": 0, "param_mul": 0}
+    mul_series, param_mul = TruncatedSeries.mul_series, ParamPolynomial.__mul__
+
+    def counted_series(self, other):
+        counts["mul_series"] += 1
+        return mul_series(self, other)
+
+    def counted_param(self, other):
+        counts["param_mul"] += 1
+        return param_mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "mul_series", counted_series)
+    monkeypatch.setattr(ParamPolynomial, "__mul__", counted_param)
+    return counts
+
+
+def test_rational_provenance_replays_make_no_series_product(monkeypatch):
+    # a replay over QQ is a `_matmul`, whose int kernel multiplies no series;
+    # module_squares.json's replays made 8 series products as `_dot` sums
+    loaded = io.parse_module_file(str(Path(__file__).parent / "fixtures" / "module_squares.json"))
+    rng = random.Random(131)
+    bases = [complete_to_standard_basis(loaded.order, loaded.generators),
+             _rational_presentation(rng).basis]
+    alphas = [a for a in iter_alphas(2, 3) if sum(a)]
+    bases += [complete_to_standard_basis(unit_order(2), [
+        TruncatedSeries(2, 1, 4, QQ, {ModExponent(a, 1): _rational_coeff(rng)
+                                      for a in rng.sample(alphas, 3)})
+        for _ in range(3)]) for _ in range(4)]
+    assert bases[1]._record[1], "no completion appended a remainder"
+    bases += [canonicalize(b) for b in bases]
+    counts = _count_products(monkeypatch)
+    for b in bases:
+        assert len(b.provenance) == len(b.elements)
+    assert counts["mul_series"] == 0
+
+
+@pytest.mark.parametrize("source, series_products, param_products", [
+    ("family_adjugate.json", 39, 256),
+    ("family_xi.json", 26, 130),
+    ("family_relations.json", 10, 26),
+])
+def test_localized_presentation_keeps_its_products(monkeypatch, source, series_products,
+                                                    param_products):
+    # over a localized ring every replay step is the same `_dot` on the same
+    # pairs as before it was a `_matmul`, so no product is added or dropped
+    # (reading the file adds 8, 1 and 0 polynomial products)
+    pm = io.parse_module_file(str(Path(__file__).parent / "fixtures" / source)).param_module()
+    order, gens = pm.order, pm.localized()[1]
+    counts = _count_products(monkeypatch)
+    relations_of_generators(order, gens)
+    assert (counts["mul_series"], counts["param_mul"]) == (series_products, param_products)
 
 
 def test_presentation_m8_monomial_tail():
