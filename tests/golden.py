@@ -90,6 +90,16 @@ def commands():
     yield ["diagram", "--module"]
     yield ["semicont-scan", "--module", "family_pivot.json", "--grid", "xi1:-2..2",
            "--seed", "5"]
+    # the other forms of an option: a "-"-led value, a unique prefix and
+    # --opt=value are read; a value that is no number, an ambiguous prefix
+    # and a flag's "=" value are usage errors; help wins over an unknown option
+    yield ["specialize", "--module", "family_pivot.json", "--at", "-1"]
+    yield ["specialize", "--module", "family_pivot.json", "--at", "-1/2"]
+    yield ["specialize", "--mod", "family_pivot.json", "--at", "0"]
+    yield ["diagram", "--module=module_unit.json"]
+    yield ["compare-diagrams", "--module", "module_unit.json", "--o", "x"]
+    yield ["diagram", "--module", "module_unit.json", "--frobnicate", "--help"]
+    yield ["std-basis", "--module", "module_unit.json", "--canonical=1"]
 
 
 def _digest(text):
