@@ -1,10 +1,11 @@
-"""The argparse parser of the command line, built from the subcommand table
-that `cli` passes in and the help texts below.  `cli` reads a well-formed
-command line itself and builds this parser only for the rest, so help texts
-and usage errors are argparse's."""
+"""Help texts and usage errors of the command line.  `cli` reads the command
+line and imports this module only to write help or a usage error, which it
+builds from its subcommand table and the texts below.  Lines do not wrap,
+so the bytes depend on no terminal width and no Python version."""
 
-import argparse
+import sys
 
+DESCRIPTION = "exact division engine for truncated power series modules"
 COMMAND_HELP = {
     "divide": "divide a series by the module generators",
     "diagram": "staircase diagram of the module",
@@ -28,39 +29,35 @@ OPTION_HELP = {
     "count": "number of random sample points (with --seed)",
     "canonical": "emit the canonical basis",
     "out": "output path (default: stdout)",
+    "format": "json or text (default: json)",
     "timing": "record wall time (breaks byte-determinism)",
     "refine": "also scan the half-step refinement of the grid",
 }
 
 
-def parse_args(argv, commands, required, flags, ints, formats, sources) -> dict:
-    """argparse's namespace for argv, as a dict; help and usage errors end
-    in SystemExit, as argparse ends them.
+def write_usage(command, problem, commands, required, flags, sources) -> int:
+    """Write help for command (None for the program) to stdout and return 0,
+    or, given a problem, the usage line and the problem to stderr and return 2.
 
-    commands maps each subcommand to its option names in order; required,
-    flags, ints and formats say how an option is read, and at most one of
-    the point sources may be given.  Every option but --format has a help
-    text in OPTION_HELP.
+    commands maps each subcommand to its option names in order; required and
+    flags say how an option is written, and the point sources are exclusive.
     """
-    parser = argparse.ArgumentParser(
-        prog="formaldiv",
-        description="exact division engine for truncated power series modules",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, names in commands.items():
-        p = sub.add_parser(command, help=COMMAND_HELP[command])
-        group = None
-        for name in names:
-            target, flag = p, f"--{name}"
-            if name in sources:
-                if group is None:
-                    group = p.add_mutually_exclusive_group()
-                target = group
-            if name == "format":
-                target.add_argument(flag, choices=formats, default="json")
-            elif name in flags:
-                target.add_argument(flag, action="store_true", help=OPTION_HELP[name])
-            else:
-                target.add_argument(flag, required=name in required, help=OPTION_HELP[name],
-                                    type=int if name in ints else None)
-    return vars(parser.parse_args(argv))
+    if command is None:
+        usage, about, title = "formaldiv [-h] COMMAND ...", DESCRIPTION, "commands"
+        rows = [(name, COMMAND_HELP[name]) for name in commands]
+    else:
+        spec = {n: f"--{n}" if n in flags else f"--{n} {n.upper()}" for n in commands[command]}
+        items = {n: " | ".join(spec[s] for s in sources) if n == sources[0] else text
+                 for n, text in spec.items() if n not in sources[1:]}  # sources are one item
+        usage = " ".join([f"formaldiv {command} [-h]",
+                          *(text if n in required else f"[{text}]" for n, text in items.items())])
+        about, title = COMMAND_HELP[command], "options"
+        rows = [("-h, --help", "show this help and exit")]
+        rows += [(text, OPTION_HELP[name]) for name, text in spec.items()]
+    if problem is not None:
+        sys.stderr.write(f"usage: {usage}\n{usage.partition(' [-h]')[0]}: error: {problem}\n")
+        return 2
+    width = max(len(left) for left, _ in rows) + 2
+    listed = "".join(f"  {left.ljust(width)}{text}\n" for left, text in rows)
+    sys.stdout.write(f"usage: {usage}\n\n{about}\n\n{title}:\n{listed}")
+    return 0

@@ -1,9 +1,5 @@
-"""Batch command-line interface.
-
-Exit codes: 0 success, 2 parse/schema error, 3 precondition violation,
-4 degenerate input (vanishing denominator, singular constant matrix),
-1 internal invariant failure (always a bug).
-"""
+"""Batch command-line interface.  A call exits with 0, with 2 for a usage
+error, or with the exit code of the `errors` class that ended it."""
 
 import os
 import sys
@@ -11,20 +7,10 @@ import time
 
 from . import io
 from .division import canonicalize, complete_to_standard_basis, hironaka_divide, is_member
-from .errors import (
-    DegeneracyError,
-    EngineError,
-    PreconditionError,
-    SchemaError,
-)
+from .errors import EngineError, SchemaError
 from .exponents import compare_diagrams
 
-# families and syzygies are imported by the subcommands that run them.
-
-# The subcommand table: each command's options in argparse's order.  It is
-# read by `_read_args` and, for help and usage errors, built into a parser by
-# `_usage.parse_args`.  Options take a string unless they are flags or ints;
-# --format takes json or text, and a call names at most one point source.
+# The subcommand table: each command's options, in the order help lists them.
 _REQUIRED = ("module", "dividend", "other", "at")
 _FLAGS = ("canonical", "timing", "refine")
 _INTS = ("seed", "count")
@@ -46,35 +32,66 @@ _COMMANDS = {
 }
 
 
-def _read_args(argv):
-    """argparse's namespace for a well-formed command line, as a dict.
+class _Usage(Exception):
+    """args: the command (None for the program) and a usage error, or None for help."""
 
-    None for help, for usage errors and for the rarer forms this reader
-    leaves to argparse: abbreviated options, --opt=value, and values that
-    begin with "-".
-    """
-    names = _COMMANDS.get(argv[0]) if argv else None
+
+def _option(token, names, command):
+    """A token as argparse reads it: (None, None) a value, ("", None) an
+    unknown option, else an option name and its "=" value or None."""
+    if token == "-h" or token[:2] == "--":  # a unique prefix names an option
+        key, eq, value = ("help" if token == "-h" else token[2:]).partition("=")
+        found = [name for name in ("help", *names) if name.startswith(key)]
+        if len(found) > 1:  # no option name is the prefix of another
+            raise _Usage(command, f"{token}: ambiguous option (--{' or --'.join(found)})")
+        if found:
+            return found[0], value if eq else None
+    # a "-" value is "-", has a space or is a number: r"^-\d+$|^-\d*\.\d+$", "\n$" too
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
+    number = (whole + frac).isdecimal() and (frac or not dot)
+    is_value = token[:1] != "-" or token == "-" or number or " " in token
+    return (None, None) if is_value else ("", None)
+
+
+def _read_args(argv):
+    """The options of a command line, with the command, as a dict; help and
+    usage errors raise _Usage.  The line is read as argparse read it (see
+    tests/argparse_reference.py), but nothing may precede the command."""
+    command, *tokens = argv or [""]
+    names = _COMMANDS.get(command)
     if names is None:
-        return None
+        help = command == "-h" or len(command) > 2 and "--help".startswith(command)
+        raise _Usage(None, None if help else f"unknown command {command!r}")
+    end = tokens.index("--") if "--" in tokens else len(tokens)  # no options after it
+    kinds = iter([(token, _option(token, names, command)) for token in tokens[:end]])
     args = {**{name: False if name in _FLAGS else None for name in names}, "format": "json"}
-    tokens = iter(argv[1:])
-    for token in tokens:  # a repeated option keeps its last value, as in argparse
-        name = token[2:]
-        if token[:2] != "--" or name not in names:
-            return None
-        if name in _FLAGS:
-            args[name] = True
+    stray = tokens[end:]
+    for token, (name, value) in kinds:  # in order, so a repeated option keeps its last value
+        if not name:
+            stray.append(token)
             continue
-        value = next(tokens, "-")  # a missing value declines as "-" does
-        if value[:1] == "-" or name == "format" and value not in _FORMATS:
-            return None
+        if name == "help" or name in _FLAGS:
+            if name == "help" or value is not None:
+                raise _Usage(command, None if value is None else f"--{name}: takes no value")
+            value = True
+        elif value is None:
+            value, (after, _) = next(kinds, (None, ("", None)))
+            if after is not None:  # the next token is no value
+                raise _Usage(command, f"--{name}: expected a value")
+        if name in _POINT_SOURCES and any(args[s] is not None for s in _POINT_SOURCES
+                                          if s != name):
+            raise _Usage(command, f"--{name}: only one of --points, --grid and --seed")
         try:
+            if name == "format" and value not in _FORMATS:
+                raise ValueError
             args[name] = int(value) if name in _INTS else value
         except ValueError:
-            return None
-    missing = any(args[name] is None for name in names if name in _REQUIRED)
-    sources = sum(args.get(name) is not None for name in _POINT_SOURCES)
-    return None if missing or sources > 1 else {"command": argv[0], **args}
+            raise _Usage(command, f"--{name}: invalid value {value!r}") from None
+    missing = " ".join(f"--{name}" for name in names if name in _REQUIRED and args[name] is None)
+    if missing or stray:
+        raise _Usage(command, f"required: {missing}" if missing else
+                     f"unrecognized arguments: {' '.join(stray)}")
+    return {"command": command, **args}
 
 
 def _prepare(mod):
@@ -136,7 +153,7 @@ def _dispatch(args):
 
 
 def _payload(args, mod, hashes):
-    """The result of args.command; input digests go into hashes."""
+    """The result of args["command"]; input digests go into hashes."""
     order, command = mod.order, args["command"]
 
     if command == "divide":
@@ -181,13 +198,10 @@ def _payload(args, mod, hashes):
             "witness": _division_to_json(res, order),
         }
 
-    if command == "syzygy":
-        from .syzygies import syzygy_payload
-        return syzygy_payload(order, _prepare(mod))
-
-    if command == "relations":
-        from .syzygies import relations_payload
-        return relations_payload(order, _prepare(mod))
+    if command in ("syzygy", "relations"):
+        from . import syzygies
+        payload = syzygies.syzygy_payload if command == "syzygy" else syzygies.relations_payload
+        return payload(order, _prepare(mod))
 
     if command == "compare-diagrams":
         other = _load_module(args["other"], hashes, "other")
@@ -198,46 +212,27 @@ def _payload(args, mod, hashes):
             "comparison": compare_diagrams(d1, d2).name.lower(),
         }
 
+    from . import families  # the family commands: specialize and the point scans
+    pm, points = mod.param_module(), {key: args.get(key) for key in _POINTS}
     if command == "specialize":
-        from .families import specialize_payload
-        return specialize_payload(mod.param_module(), args["at"], hashes)
-
+        return families.specialize_payload(pm, args["at"], hashes)
     if command == "semicont-scan":
-        from .families import scan_payload
-        return scan_payload(mod.param_module(), hashes, refine=args["refine"],
-                            **{key: args[key] for key in _POINTS})
-
-    if command == "relations-check":
-        from .families import relations_check_payload
-        return relations_check_payload(mod.param_module(), hashes,
-                                       **{key: args[key] for key in _POINTS})
+        return families.scan_payload(pm, hashes, refine=args["refine"], **points)
+    return families.relations_check_payload(pm, hashes, **points)
 
 
 def run_command(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_args(argv)
-    if args is None:  # help or a usage error: argparse writes those
-        from ._usage import parse_args
-        try:
-            args = parse_args(argv, _COMMANDS, _REQUIRED, _FLAGS, _INTS, _FORMATS,
-                              _POINT_SOURCES)
-        except SystemExit as exc:
-            return 2 if exc.code not in (0, None) else 0
     started = time.monotonic()
     try:
+        args = _read_args(argv)
         payload, hashes = _dispatch(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 3
-    except DegeneracyError as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return 4
+    except _Usage as usage:
+        from ._usage import write_usage
+        return write_usage(*usage.args, _COMMANDS, _REQUIRED, _FLAGS, _POINT_SOURCES)
     except EngineError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     wall = time.monotonic() - started if args["timing"] else None
     result = io.build_result(args["command"], hashes, payload, wall)
     data = io.emit_result(result, args["format"])

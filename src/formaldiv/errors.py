@@ -1,16 +1,17 @@
-"""Exception hierarchy shared by the whole engine.
-
-The CLI maps these onto its exit codes: SchemaError -> 2,
-PreconditionError -> 3, DegeneracyError -> 4, anything else -> 1.
-"""
+"""Exception hierarchy shared by the whole engine.  Each class carries the
+exit code and the stderr label the CLI reports it with."""
 
 
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code, label = 1, "internal error"
+
 
 class SchemaError(EngineError):
     """Malformed input file or unparsable expression."""
+
+    exit_code, label = 2, "error"
 
 
 class ExpressionError(SchemaError):
@@ -25,6 +26,8 @@ class ExpressionError(SchemaError):
 
 class PreconditionError(EngineError):
     """An operation was called outside its stated domain."""
+
+    exit_code, label = 3, "precondition violated"
 
 
 class AmbientMismatchError(PreconditionError):
@@ -54,6 +57,8 @@ class IncompleteBasisError(PreconditionError):
 
 class DegeneracyError(EngineError):
     """Input family is degenerate for the requested operation."""
+
+    exit_code, label = 4, "degenerate input"
 
 
 class VanishingDenominatorError(DegeneracyError):

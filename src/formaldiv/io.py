@@ -314,13 +314,12 @@ def _json_text(value, newline="\n"):
 
 
 def emit_result(result: dict, fmt: str = "json") -> bytes:
-    """Deterministic bytes for a result; text is a human-readable mirror."""
-    if fmt == "json":
-        return (_json_text(result) + "\n").encode()
+    """Deterministic bytes for a result: JSON, or with fmt "text" a
+    human-readable mirror (the command-line reader admits no other fmt)."""
     if fmt == "text":
         from ._text import render_text
         return render_text(result)
-    raise SchemaError(f"unknown output format {fmt!r}")
+    return (_json_text(result) + "\n").encode()
 
 
 def write_atomic(path, data: bytes):

@@ -8,11 +8,10 @@ never gcd-reduced, so their printed form can depend on the order in which
 terms are summed.  A moved hash therefore means the engine changed its
 output; fix the engine rather than the file.
 
-Each entry holds the bytes of CPython ``BASE_VERSION``.  argparse's help and
-usage texts differ between Python versions, so an entry may also hold, under
-``by_version``, the bytes of another version where they differ.  Regenerate
-the file only for an intended output change, from the repository root, on
-the base version first and then on each pinned version:
+formaldiv writes its help and usage errors itself, without wrapping, so one
+entry holds on every supported Python version and at every terminal width.
+Regenerate the file only for an intended output change, from the
+repository root:
 
     PYTHONPATH=src python tests/golden.py --write
 
@@ -32,9 +31,6 @@ from formaldiv import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
-FIELDS = ("exit", "sha256", "stderr_sha256")
-BASE_VERSION = "3.11"
-VERSION = "%d.%d" % sys.version_info[:2]
 
 MODULES = (
     "bad_degree.json", "bad_json.json", "family_adjugate.json", "family_defect.json",
@@ -52,8 +48,6 @@ SUBCOMMANDS = (
     "divide", "diagram", "std-basis", "membership", "syzygy", "relations",
     "compare-diagrams", "specialize", "semicont-scan", "relations-check",
 )
-# argparse wraps help and usage text to the terminal width
-COLUMNS = "80"
 
 
 def commands():
@@ -110,18 +104,13 @@ def run_captured(argv):
     """The golden entry of one CLI call run in the fixture folder: its exit
     code and the sha256 of its stdout and of its stderr."""
     out, err = io.StringIO(), io.StringIO()
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    cwd = os.getcwd()
     os.chdir(FIXTURES)
-    os.environ["COLUMNS"] = COLUMNS
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run_command(list(argv))
     finally:
         os.chdir(cwd)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return {"exit": code, "sha256": _digest(out.getvalue()),
             "stderr_sha256": _digest(err.getvalue())}
 
@@ -130,40 +119,22 @@ def table():
     return json.loads(GOLDEN.read_text())
 
 
-def expected(entry):
-    """The pins of an entry for the running Python version."""
-    pins = entry.get("by_version", {}).get(VERSION, entry)
-    return {field: pins[field] for field in FIELDS}
-
-
 def write():
-    """Record the running version's bytes: every entry's base pins on the
-    base version; elsewhere a per-version pin wherever they differ."""
-    old, new = table(), {}
-    for argv in commands():
-        key = " ".join(argv)
-        got, entry = run_captured(argv), dict(old.get(key, {}))
-        by_version = entry.pop("by_version", {})
-        if VERSION == BASE_VERSION:
-            entry.update(got)
-        elif not entry:
-            sys.exit(f"no base entry for {key!r}: write on Python {BASE_VERSION} first")
-        by_version.pop(VERSION, None)
-        if got != expected(entry):
-            by_version[VERSION] = got
-        new[key] = {**entry, "by_version": by_version} if by_version else entry
+    """Record every entry's bytes on the running interpreter."""
+    new = {" ".join(argv): run_captured(argv) for argv in commands()}
     GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(new)} entries to {GOLDEN} for Python {VERSION}")
+    print(f"wrote {len(new)} entries to {GOLDEN}")
 
 
 def check():
-    """List the entries whose bytes differ on the running version."""
+    """List the entries whose bytes differ on the running interpreter."""
     pinned = table()
     differ = [" ".join(argv) for argv in commands()
-              if run_captured(argv) != expected(pinned[" ".join(argv)])]
+              if run_captured(argv) != pinned[" ".join(argv)]]
     for key in differ:
         print(f"differs: {key!r}")
-    print(f"{len(pinned) - len(differ)} of {len(pinned)} entries match on Python {VERSION}")
+    version = sys.version.split()[0]
+    print(f"{len(pinned) - len(differ)} of {len(pinned)} entries match on Python {version}")
     return 1 if differ else 0
 
 

@@ -3,7 +3,7 @@ which also regenerates the file)."""
 
 import pytest
 
-from golden import commands, expected, run_captured, table
+from golden import commands, run_captured, table
 
 
 def test_golden_covers_every_command():
@@ -12,4 +12,4 @@ def test_golden_covers_every_command():
 
 @pytest.mark.parametrize("argv", list(commands()), ids=" ".join)
 def test_cli_bytes_match_golden(argv):
-    assert run_captured(argv) == expected(table()[" ".join(argv)])
+    assert run_captured(argv) == table()[" ".join(argv)]

@@ -27,18 +27,18 @@ NO_HASHLIB = any(find_spec(name) for name in ("_sha256", "_sha2"))
 def loaded_after(code):
     """Names in sys.modules after running code in a fresh interpreter."""
     prog = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
-            "print(' '.join(sorted(sys.modules)))\n")
+            "print('\\n' + ' '.join(sorted(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-S", "-c", prog],
                           capture_output=True, text=True, check=True)
-    return set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())  # after what the code printed
 
 
 def formaldiv_modules(names):
     return {n.split(".", 1)[1] for n in names if n.startswith("formaldiv.")}
 
 
-def cli_call(*argv):
-    return f"import formaldiv.cli\nassert formaldiv.cli.run_command({list(argv)!r}) == 0"
+def cli_call(*argv, code=0):
+    return f"import formaldiv.cli\nassert formaldiv.cli.run_command({list(argv)!r}) == {code}"
 
 
 # A rational divide loaded 1,981 lines of formaldiv source while cli and io
@@ -95,16 +95,19 @@ def test_rational_divide_loads_a_bounded_amount_of_source(tmp_path):
     assert source_lines(names) <= 1720
 
 
-@pytest.mark.parametrize("argv", [
-    ("divide", "--module", str(FIXTURES / "module_squares.json"),
-     "--dividend", str(FIXTURES / "dividend_mixed.json")),
-    ("relations", "--module", str(FIXTURES / "module_squares.json")),
+@pytest.mark.parametrize("code, argv", [
+    (0, ("divide", "--module", str(FIXTURES / "module_squares.json"),
+         "--dividend", str(FIXTURES / "dividend_mixed.json"))),
+    (0, ("relations", "--module", str(FIXTURES / "module_squares.json"))),
+    (0, ("--help",)),
+    (2, ("diagram", "--module", str(FIXTURES / "module_unit.json"), "--format", "xml")),
 ])
-def test_rational_call_builds_no_argument_parser(tmp_path, argv):
-    # a well-formed command line is read without argparse and its locale code
-    names = loaded_after(cli_call(*argv, "--out", str(tmp_path / "r.json")))
+def test_rational_call_builds_no_argument_parser(tmp_path, code, argv):
+    # no command line is read with argparse and its locale code; only help
+    # and usage errors load the help texts
+    names = loaded_after(cli_call(*argv, "--out", str(tmp_path / "r.json"), code=code))
     assert not names & {"argparse", "gettext", "locale"}
-    assert "_usage" not in formaldiv_modules(names)
+    assert ("_usage" in formaldiv_modules(names)) == ("--help" in argv or code == 2)
 
 
 def test_semicont_scan_loads_no_relation_code(tmp_path):
