@@ -46,11 +46,11 @@ def _option(token, names, command):
             raise _Usage(command, f"{token}: ambiguous option (--{' or --'.join(found)})")
         if found:
             return found[0], value if eq else None
-    # a "-" value is "-", has a space or is a number: r"^-\d+$|^-\d*\.\d+$", "\n$" too
+    if token[:1] != "-" or token == "-" or " " in token:
+        return None, None
+    # argparse's r"^-\d+$|^-\d*\.\d+$", whose $ also matches before a final "\n"
     whole, dot, frac = token[1:].removesuffix("\n").partition(".")
-    number = (whole + frac).isdecimal() and (frac or not dot)
-    is_value = token[:1] != "-" or token == "-" or number or " " in token
-    return (None, None) if is_value else ("", None)
+    return (None, None) if (whole + frac).isdecimal() and (frac or not dot) else ("", None)
 
 
 def _read_args(argv):
@@ -60,8 +60,8 @@ def _read_args(argv):
     command, *tokens = argv or [""]
     names = _COMMANDS.get(command)
     if names is None:
-        help = command == "-h" or len(command) > 2 and "--help".startswith(command)
-        raise _Usage(None, None if help else f"unknown command {command!r}")
+        asks_help = command == "-h" or len(command) > 2 and "--help".startswith(command)
+        raise _Usage(None, None if asks_help else f"unknown command {command!r}")
     end = tokens.index("--") if "--" in tokens else len(tokens)  # no options after it
     kinds = iter([(token, _option(token, names, command)) for token in tokens[:end]])
     args = {**{name: False if name in _FLAGS else None for name in names}, "format": "json"}
