@@ -65,7 +65,7 @@ def _read_args(argv):
     end = tokens.index("--") if "--" in tokens else len(tokens)  # no options after it
     kinds = iter([(token, _option(token, names, command)) for token in tokens[:end]])
     args = {**{name: False if name in _FLAGS else None for name in names}, "format": "json"}
-    stray = tokens[end:]
+    stray = []
     for token, (name, value) in kinds:  # in order, so a repeated option keeps its last value
         if not name:
             stray.append(token)
@@ -88,9 +88,9 @@ def _read_args(argv):
         except ValueError:
             raise _Usage(command, f"--{name}: invalid value {value!r}") from None
     missing = " ".join(f"--{name}" for name in names if name in _REQUIRED and args[name] is None)
-    if missing or stray:
+    if missing or stray or end < len(tokens):
         raise _Usage(command, f"required: {missing}" if missing else
-                     f"unrecognized arguments: {' '.join(stray)}")
+                     f"unrecognized arguments: {', '.join(map(repr, stray + tokens[end:]))}")
     return {"command": command, **args}
 
 
