@@ -33,7 +33,7 @@ _EXPORTS = {
     "exponents": (
         "DeltaPartition", "Diagram", "ModExponent", "Ordering",
         "PositiveLinearForm", "StandardOrder", "SyzygyOrder",
-        "compare_diagrams", "diagram_from_exponents", "syzygy_order_for",
+        "compare_diagrams", "diagram_from_exponents",
     ),
     "families": (
         "ExceptionalCertificates", "SemicontinuityReport", "generic_diagram",

@@ -29,6 +29,7 @@ from .exponents import (
     Diagram,
     ModExponent,
     diagram_from_exponents,
+    iter_alphas,
     sub_alpha,
 )
 from .series import TruncatedSeries, _dot
@@ -210,8 +211,10 @@ def complete_to_standard_basis(
     """Close a generator list under division up to the truncation degree.
 
     Every monomial multiple of a list element that crosses into an earlier
-    cell is divided by the current list; a nonzero remainder has its initial
-    exponent outside the current staircase and is appended.  Each append
+    cell is divided by the current list, and so is every least multiple that
+    truncation strips of its initial term (only under weights that let that
+    term outrank one of lower total degree); a nonzero remainder has its
+    initial exponent outside the current staircase and is appended.  Each append
     strictly enlarges the staircase within the finite degree-<= trunc grid,
     so the loop terminates.  Appending keeps earlier cells intact, which is
     why already-reduced tests never need revisiting.  The loop ends when no
@@ -238,10 +241,17 @@ def complete_to_standard_basis(
         exps.append(it.exponent)
         _ensure_unit(ring, it.coefficient, new_dens)
 
+    def tests_of(part, i):
+        # multiples x^gamma * work[i] of total degree above trunc - deg(in)
+        # lose the initial term; the least of them that keep a term start anew
+        gammas = part.box_complement_generators(i)
+        k = trunc + 1 - exps[i].degree
+        if k <= trunc - min(e.degree for e in work[i].terms):
+            gammas += [g for g in iter_alphas(n, k) if sum(g) == k]
+        return [(gamma, i) for gamma in gammas]
+
     part = DeltaPartition(exps)
-    pending = [
-        (gamma, i) for i in range(len(work)) for gamma in part.box_complement_generators(i)
-    ]
+    pending = [test for i in range(len(work)) for test in tests_of(part, i)]
 
     target = set(_target.vertices) if _target is not None else None
     cursor = 0
@@ -261,10 +271,7 @@ def complete_to_standard_basis(
         work.append(r)
         steps.append((gamma, i, res.quotients))
         exps.append(it.exponent)
-        t = len(work) - 1
-        pending.extend(
-            (g2, t) for g2 in DeltaPartition(exps).box_complement_generators(t)
-        )
+        pending.extend(tests_of(DeltaPartition(exps), len(work) - 1))
 
     diagram = diagram_from_exponents(exps, n=n, p=p, order=order)
     index = tuple(exps.index(v) for v in diagram.vertices)

@@ -129,12 +129,19 @@ class PositiveLinearForm:
 
 
 class StandardOrder:
-    """lex(L(alpha), j, alpha); refines L-degree, then slot, then plain lex."""
+    """lex(L(alpha), j, alpha); refines L-degree, then slot, then plain lex.
+
+    A subclass overrides key and _fields, the values that identify it;
+    equality, hashing and repr read _fields.
+    """
 
     __slots__ = ("form",)
 
     def __init__(self, form: PositiveLinearForm):
         self.form = form
+
+    def _fields(self) -> dict:
+        return {"weights": self.form.weights}
 
     @property
     def n(self) -> int:
@@ -149,16 +156,17 @@ class StandardOrder:
         return Ordering.LESS if k1 < k2 else Ordering.GREATER if k1 > k2 else Ordering.EQUAL
 
     def __eq__(self, other):
-        return isinstance(other, StandardOrder) and self.form == other.form
+        return type(other) is type(self) and self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(("std", self.form.weights))
+        return hash((type(self).__name__, *self._fields().values()))
 
     def __repr__(self):
-        return f"StandardOrder(weights={self.form.weights})"
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__name__}({fields})"
 
 
-class SyzygyOrder:
+class SyzygyOrder(StandardOrder):
     """Slot-weighted order on N^n x {1..q} for relation vectors.
 
     Slot i carries the initial exponent (a_i, j_i) of the i-th basis element.
@@ -169,51 +177,27 @@ class SyzygyOrder:
     to (L(alpha+a_i), alpha+a_i, -i).
     """
 
-    __slots__ = ("form", "slots")
+    __slots__ = ("slots",)
 
     def __init__(self, form: PositiveLinearForm, slots: Sequence[ModExponent]):
         if not slots:
             raise PreconditionError("need at least one slot exponent")
-        self.form = form
+        super().__init__(form)
         self.slots = tuple(slots)
         if any(len(s.alpha) != form.n for s in self.slots):
             raise AmbientMismatchError("slot exponent arity differs from form")
 
-    @property
-    def n(self) -> int:
-        return self.form.n
-
-    @property
-    def q(self) -> int:
-        return len(self.slots)
+    def _fields(self) -> dict:
+        return {"weights": self.form.weights, "slots": self.slots}
 
     def key(self, e: ModExponent):
-        s = self.slots[e.comp - 1]
+        try:
+            s = self.slots[e.comp - 1]
+        except IndexError:
+            raise AmbientMismatchError(
+                f"slot {e.comp} out of range for {len(self.slots)} slots") from None
         a = add_alpha(e.alpha, s.alpha)
         return (self.form.scaled(a), s.comp, a, -e.comp)
-
-    def compare(self, e1: ModExponent, e2: ModExponent) -> Ordering:
-        _check_arity(self.n, e1, e2)
-        for e in (e1, e2):
-            if e.comp > self.q:
-                raise AmbientMismatchError(
-                    f"slot {e.comp} out of range for {self.q} slots"
-                )
-        k1, k2 = self.key(e1), self.key(e2)
-        return Ordering.LESS if k1 < k2 else Ordering.GREATER if k1 > k2 else Ordering.EQUAL
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SyzygyOrder)
-            and self.form == other.form
-            and self.slots == other.slots
-        )
-
-    def __hash__(self):
-        return hash(("syz", self.form.weights, self.slots))
-
-    def __repr__(self):
-        return f"SyzygyOrder(weights={self.form.weights}, slots={self.slots})"
 
 
 def _check_arity(n: int, *exps: ModExponent):
@@ -222,11 +206,6 @@ def _check_arity(n: int, *exps: ModExponent):
             raise AmbientMismatchError(
                 f"multi-index {e.alpha} has arity {len(e.alpha)}, expected {n}"
             )
-
-
-def syzygy_order_for(basis_vertices: Sequence[ModExponent], form: PositiveLinearForm) -> SyzygyOrder:
-    """Order on relation vectors derived from a list of basis initial exponents."""
-    return SyzygyOrder(form, list(basis_vertices))
 
 
 class Diagram:
@@ -300,15 +279,13 @@ def compare_diagrams(n1: Diagram, n2: Diagram) -> Ordering:
         )
     if n1.order != n2.order:
         raise AmbientMismatchError("diagrams sorted under different orders")
+    key = n1.order.key
     for v1, v2 in zip(n1.vertices, n2.vertices):
-        c = n1.order.compare(v1, v2)
-        if c != Ordering.EQUAL:
-            return c
-    if len(n1.vertices) > len(n2.vertices):
-        return Ordering.LESS
-    if len(n1.vertices) < len(n2.vertices):
-        return Ordering.GREATER
-    return Ordering.EQUAL
+        k1, k2 = key(v1), key(v2)
+        if k1 != k2:
+            return Ordering.LESS if k1 < k2 else Ordering.GREATER
+    l1, l2 = len(n1.vertices), len(n2.vertices)
+    return Ordering.LESS if l1 > l2 else Ordering.GREATER if l1 < l2 else Ordering.EQUAL
 
 
 class DeltaPartition:

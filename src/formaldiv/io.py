@@ -145,14 +145,6 @@ def load_module_data(data, source="module") -> LoadedModule:
     _expect(p >= 1, f"{source}.p", "must be >= 1")
     _expect(trunc >= 0, f"{source}.D", "must be >= 0")
 
-    weights_raw = data.get("weights", [1] * n)
-    _expect(isinstance(weights_raw, list) and len(weights_raw) == n,
-            f"{source}.weights", f"expected a list of {n} entries")
-    weights = [_as_fraction(w, f"{source}.weights[{i}]") for i, w in enumerate(weights_raw)]
-    for i, w in enumerate(weights):
-        _expect(w > 0, f"{source}.weights[{i}]", "weights must be positive")
-    order = StandardOrder(PositiveLinearForm(tuple(weights)))
-
     params_raw = data.get("parameters", [])
     _expect(isinstance(params_raw, list), f"{source}.parameters", "expected a list")
     for i, name in enumerate(params_raw):
@@ -218,6 +210,14 @@ def load_module_data(data, source="module") -> LoadedModule:
         generators.append(TruncatedSeries(n, p, trunc, ring, terms))
         names.append(name)
 
+    # read after the series, whose exponent lists check n before n weights are built
+    weights_raw = data["weights"] if "weights" in data else [1] * n
+    _expect(isinstance(weights_raw, list) and len(weights_raw) == n,
+            f"{source}.weights", f"expected a list of {n} entries")
+    weights = [_as_fraction(w, f"{source}.weights[{i}]") for i, w in enumerate(weights_raw)]
+    for i, w in enumerate(weights):
+        _expect(w > 0, f"{source}.weights[{i}]", "weights must be positive")
+    order = StandardOrder(PositiveLinearForm(tuple(weights)))
     return LoadedModule(order, tuple(generators), param_names, tuple(seed), tuple(names))
 
 

@@ -60,7 +60,6 @@ from .exponents import (
     ModExponent,
     SyzygyOrder,
     diagram_from_exponents,
-    syzygy_order_for,
 )
 from .rationals import QQ
 from .series import TruncatedSeries, _dot
@@ -102,7 +101,7 @@ def _relations_core(order, elements: Sequence[TruncatedSeries]):
     ring = elements[0].ring
     exps = [e.initial(order).exponent for e in elements]
     partition = DeltaPartition(exps)
-    syz_order = syzygy_order_for(exps, order.form)
+    syz_order = SyzygyOrder(order.form, exps)
     ndiag = syzygy_diagram(partition, order=syz_order)
     relations = []
     for v in ndiag.vertices:

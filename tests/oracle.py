@@ -229,10 +229,9 @@ def spanned_modulo_inert(generators, span_rels, h):
     return linear_solvable(rows, rhs)
 
 
-def nakayama_dimension(generators):
-    """dim of the generated module modulo the maximal ideal, truncated sense:
-    rank of the generators' coefficient vectors modulo the span of all their
-    monomial shifts by degree >= 1."""
+def _shift_vectors(generators, least_shift):
+    """Coefficient vectors of every x^beta * g, truncated past trunc, over
+    the generators g and the beta with least_shift <= |beta| <= trunc."""
     first = generators[0]
     n, p, trunc = first.n, first.p, first.trunc
     slots = [
@@ -241,22 +240,28 @@ def nakayama_dimension(generators):
         for alpha in exponents_up_to(n, trunc)
     ]
     index = {sl: k for k, sl in enumerate(slots)}
-
-    def vec_of(series, shift):
-        v = [Fraction(0)] * len(slots)
-        for e, c in series.terms.items():
-            alpha = tuple(a + b for a, b in zip(e.alpha, shift))
-            if sum(alpha) <= trunc:
-                v[index[(alpha, e.comp)]] = c
-        return v
-
-    shifted = []
+    vectors = []
     for g in generators:
         for beta in exponents_up_to(n, trunc):
-            if sum(beta) == 0:
+            if sum(beta) < least_shift:
                 continue
-            v = vec_of(g, beta)
-            if any(v):
-                shifted.append(v)
-    plain = [vec_of(g, (0,) * n) for g in generators]
-    return rank(plain + shifted) - rank(shifted)
+            v = [Fraction(0)] * len(slots)
+            for e, c in g.terms.items():
+                alpha = tuple(a + b for a, b in zip(e.alpha, beta))
+                if sum(alpha) <= trunc:
+                    v[index[(alpha, e.comp)]] = c
+            vectors.append(v)
+    return vectors
+
+
+def module_dimension(generators):
+    """dim of the generated module modulo degree > trunc, as a vector space:
+    rank of all truncated monomial multiples of the generators."""
+    return rank(_shift_vectors(generators, 0))
+
+
+def nakayama_dimension(generators):
+    """dim of the generated module modulo the maximal ideal, truncated sense:
+    rank of the generators' coefficient vectors modulo the span of all their
+    monomial shifts by degree >= 1."""
+    return module_dimension(generators) - rank(_shift_vectors(generators, 1))

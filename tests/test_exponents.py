@@ -9,9 +9,9 @@ from formaldiv import (
     Ordering,
     PositiveLinearForm,
     StandardOrder,
+    SyzygyOrder,
     compare_diagrams,
     diagram_from_exponents,
-    syzygy_order_for,
 )
 from formaldiv.errors import AmbientMismatchError, PreconditionError
 from formaldiv.exponents import iter_alphas
@@ -56,7 +56,7 @@ def test_compare_arity_mismatch():
 def test_additive_compatibility_both_variants():
     rng = random.Random(11)
     order = unit_order(3)
-    syz = syzygy_order_for([E((1, 0, 2)), E((0, 1, 0))], PositiveLinearForm.unit(3))
+    syz = SyzygyOrder(PositiveLinearForm.unit(3), [E((1, 0, 2)), E((0, 1, 0))])
     for _ in range(200):
         alpha = tuple(rng.randint(0, 4) for _ in range(3))
         beta = tuple(rng.randint(0, 3) for _ in range(3))
@@ -72,21 +72,42 @@ def test_additive_compatibility_both_variants():
 
 def test_syzygy_order_slot_tiebreak():
     form = PositiveLinearForm.unit(2)
-    order = syzygy_order_for([E((2, 0)), E((0, 2))], form)
+    order = SyzygyOrder(form, [E((2, 0)), E((0, 2))])
     # keys (2,(2,0),-1) vs (2,(0,2),-2): decided by the middle entry
     assert order.compare(E((0, 0), 1), E((0, 0), 2)) == Ordering.GREATER
 
 
 def test_syzygy_order_reflexive():
-    order = syzygy_order_for([E((1, 0))], PositiveLinearForm.unit(2))
+    order = SyzygyOrder(PositiveLinearForm.unit(2), [E((1, 0))])
     e = E((2, 1), 1)
     assert order.compare(e, e) == Ordering.EQUAL
 
 
 def test_syzygy_order_l_part_decides():
-    order = syzygy_order_for([E((2, 0)), E((0, 2))], PositiveLinearForm.unit(2))
+    order = SyzygyOrder(PositiveLinearForm.unit(2), [E((2, 0)), E((0, 2))])
     assert order.compare(E((1, 0), 1), E((0, 0), 1)) == Ordering.GREATER
 
+
+
+def test_syzygy_order_rejects_a_slot_out_of_range():
+    order = SyzygyOrder(PositiveLinearForm.unit(2), [E((2, 0)), E((0, 2))])
+    with pytest.raises(AmbientMismatchError):
+        order.compare(E((0, 0), 3), E((0, 0), 1))
+
+
+def test_orders_compare_equal_by_type_and_fields_and_keep_their_reprs():
+    form = PositiveLinearForm((Fraction(1, 2), 1))
+    slots = [E((2, 0)), E((0, 2), 2)]
+    std, syz = StandardOrder(form), SyzygyOrder(form, slots)
+    assert std != syz and syz != std
+    assert std == StandardOrder(PositiveLinearForm((Fraction(1, 2), Fraction(1))))
+    assert hash(std) == hash(StandardOrder(PositiveLinearForm((Fraction(1, 2), 1))))
+    assert syz == SyzygyOrder(form, tuple(slots)) and hash(syz) == hash(SyzygyOrder(form, slots))
+    assert syz != SyzygyOrder(form, slots[:1]) and std != StandardOrder(PositiveLinearForm.unit(2))
+    assert repr(std) == "StandardOrder(weights=(Fraction(1, 2), Fraction(1, 1)))"
+    assert repr(syz) == (
+        "SyzygyOrder(weights=(Fraction(1, 2), Fraction(1, 1)), slots=(ModExponent("
+        "alpha=(2, 0), comp=1), ModExponent(alpha=(0, 2), comp=2)))")
 
 # -- diagrams ----------------------------------------------------------------
 
@@ -207,6 +228,41 @@ def test_compare_diagrams_requires_matching_order():
     with pytest.raises(AmbientMismatchError):
         compare_diagrams(d1, d2)
 
+
+
+def _pairwise_compare(n1, n2):
+    """compare_diagrams as one order.compare per vertex pair, the first
+    unequal pair deciding, and a strict prefix comparing greater."""
+    for v1, v2 in zip(n1.vertices, n2.vertices):
+        c = n1.order.compare(v1, v2)
+        if c != Ordering.EQUAL:
+            return c
+    if len(n1.vertices) > len(n2.vertices):
+        return Ordering.LESS
+    if len(n1.vertices) < len(n2.vertices):
+        return Ordering.GREATER
+    return Ordering.EQUAL
+
+
+def test_compare_diagrams_matches_the_pairwise_reference_under_both_orders():
+    rng = random.Random(29)
+    form = PositiveLinearForm((Fraction(1, 3), Fraction(3)))
+    orders = [unit_order(2), StandardOrder(form),
+              SyzygyOrder(form, [E((1, 0)), E((0, 2)), E((1, 1), 2)])]
+    for order in orders:
+        diagrams = []
+        for _ in range(15):
+            d = diagram_from_exponents(
+                [E((rng.randint(0, 3), rng.randint(0, 3)), rng.randint(1, 2))
+                 for _ in range(rng.randint(0, 4))],
+                n=2, p=3, order=order,
+            )
+            # every strict prefix of its sorted vertex list, too
+            diagrams += [diagram_from_exponents(d.vertices[:k], n=2, p=3, order=order)
+                         for k in range(len(d.vertices) + 1)]
+        for a in diagrams:
+            for b in diagrams:
+                assert compare_diagrams(a, b) == _pairwise_compare(a, b)
 
 # -- delta partition -----------------------------------------------------------
 

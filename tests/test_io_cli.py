@@ -363,6 +363,33 @@ def test_cli_point_sources_are_exclusive(capsys, command, sources):
     assert capsys.readouterr().out == ""
 
 
+
+def _weighted_module(path, p, series):
+    """A module file with n = 2, D = 3 and weights 1/3 and 3, under which x^2
+    comes before y although its total degree is higher."""
+    path.write_text(json.dumps({"n": 2, "p": p, "D": 3, "weights": ["1/3", 3], "series": [
+        {"terms": [{"exponent": e, "component": c, "coeff": k} for e, c, k in terms]}
+        for terms in series]}))
+    return str(path)
+
+
+def test_cli_completes_multiples_that_truncation_strips_of_their_initial_term(tmp_path):
+    # phi = x^2 + y: y^2 = y*phi - x^2*phi modulo degree > 3, so (0,2) is a
+    # vertex and y^3 a member, though y*phi and x^2*phi cross no cell
+    module = _weighted_module(tmp_path / "m.json", 1, [[([2, 0], 1, "1"), ([0, 1], 1, "1")]])
+    dividend = _weighted_module(tmp_path / "f.json", 1, [[([0, 3], 1, "1")]])
+    diagram = run_json(tmp_path, "diagram", "--module", module)["payload"]
+    assert diagram["vertices"] == [[[2, 0], 1], [[0, 2], 1]]
+    member = run_json(tmp_path, "membership", "--module", module, "--dividend", dividend)
+    assert member["payload"]["member"] is True
+    # with (0,2) missing from its basis, a generator failed to reduce through it
+    pair = _weighted_module(tmp_path / "pair.json", 2, [
+        [([0, 1], 1, "-3/2"), ([2, 0], 1, "7/3"), ([1, 0], 2, "-1")],
+        [([1, 0], 1, "1"), ([0, 0], 2, "4"), ([1, 0], 2, "-5/4")],
+    ])
+    relations = run_json(tmp_path, "relations", "--module", pair)["payload"]
+    assert relations["basis_vertices"] == [[[0, 0], 2], [[2, 0], 1], [[0, 2], 1]]
+
 # -- reading the command line --------------------------------------------------------
 
 def reader_args(argv):
@@ -663,6 +690,22 @@ def test_cli_process_exit_codes_keep_their_stderr(capsys, code, argv):
     assert run(*argv) == code
     assert (proc.returncode, out, err.decode()) == (code, b"", capsys.readouterr().err)
     assert err.startswith(b"error: " if code == 2 else b"precondition violated: ")
+
+
+@pytest.mark.parametrize("weights", [None, [1, 1]])
+def test_cli_process_oversized_n_is_a_schema_error(tmp_path, weights):
+    # the exponent lists reject n = 10**30 before any n-long weight list is built
+    data = json.loads(Path(fx("module_unit.json")).read_text())
+    data["n"] = 10**30
+    if weights is not None:
+        data["weights"] = weights
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    proc = cli_process("diagram", "--module", str(tmp_path / "m.json"))
+    out, err = proc.communicate()
+    assert (proc.returncode, out) == (2, b"")
+    assert err.startswith(b"error: ") and err.endswith(
+        b".series[0].terms[0].exponent: expected " + str(10**30).encode()
+        + b" nonnegative integers\n")
 
 
 @pytest.mark.parametrize("code, argv", [

@@ -37,7 +37,7 @@ from formaldiv.errors import DegenerateFamilyError, ExpressionError, SchemaError
 from formaldiv.exponents import SyzygyOrder, add_alpha
 from formaldiv.families import _all_spanned, oracle_relations
 from formaldiv.linalg import kernel_basis, rref
-from formaldiv.syzygies import _greedy_subset, relations_of_generators
+from formaldiv.syzygies import _greedy_subset, relation_defect, relations_of_generators
 
 import oracle
 
@@ -580,3 +580,67 @@ def test_completion_with_its_target_keeps_the_full_record(inst):
         if plain.diagram == full:
             targeted = complete_to_standard_basis(order, lst, _target=full)
             assert _basis_record(targeted) == _basis_record(plain)
+
+
+# -- completion and presentations under weighted orders ---------------------------
+
+def _diagram_points(diagram, n, p, trunc):
+    """The points of degree <= trunc in the diagram, counted off its vertices."""
+    return sum(
+        any(v.comp == comp and all(a >= b for a, b in zip(alpha, v.alpha))
+            for v in diagram.vertices)
+        for comp in range(1, p + 1) for alpha in oracle.exponents_up_to(n, trunc)
+    )
+
+
+@st.composite
+def truncating_generator_lists(draw):
+    """Generator lists whose first series is a binomial whose initial term
+    has the higher total degree, so truncation strips that term from some
+    of its multiples, which then start somewhere else.  The lower-degree
+    term holds x1, which weighs more than the whole initial term."""
+    n = draw(st.integers(2, 3))
+    p = draw(st.integers(1, 2))
+    trunc = draw(st.integers(2, {2: 5, 3: 3}[n]))
+    alphas = oracle.exponents_up_to(n, trunc)
+    low = draw(st.sampled_from([a for a in alphas if a[0] and sum(a) < trunc]))
+    high = draw(st.sampled_from([a for a in alphas if not a[0] and sum(a) > sum(low)]))
+    rest = [draw(weights_st) for _ in range(n - 1)]
+    heavy = sum(w * a for w, a in zip(rest, high[1:])) + draw(weights_st)
+    order = StandardOrder(PositiveLinearForm((heavy, *rest)))
+    binomial = TruncatedSeries(n, p, trunc, QQ, {
+        ModExponent(high, draw(st.integers(1, p))): draw(coeff_st),
+        ModExponent(low, draw(st.integers(1, p))): draw(coeff_st),
+    })
+    return order, [binomial] + draw(st.lists(series(n, p, trunc, 3), max_size=2))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(truncating_generator_lists())
+def test_completed_diagram_counts_the_dimension_of_the_module(inst):
+    """Distinct initial exponents of a truncated module are as many as its
+    dimension, and under a standard basis they are the diagram's points."""
+    order, gens = inst
+    n, p, trunc = gens[0].n, gens[0].p, gens[0].trunc
+    assert gens[0].initial(order).exponent.degree > min(e.degree for e in gens[0].terms)
+    basis = complete_to_standard_basis(order, gens)
+    assert _diagram_points(basis.diagram, n, p, trunc) == oracle.module_dimension(gens)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(generator_lists())
+def test_presentations_annihilate_and_carry_the_adjugate(inst):
+    """Random weights and p in {1, 2}: every relation annihilates the
+    generators, and U * adj(U) = adj(U) * U = det(U) * I."""
+    order, gens = inst
+    pres = relations_of_generators(order, gens)
+    assert all(relation_defect(r, gens).is_zero for r in pres.relations)
+    u, adj, det = pres.u_matrix, pres.u_adjugate, pres.det_u
+    zero = TruncatedSeries.zero(det.n, 1, det.trunc, QQ)
+    for a, b in ((u, adj), (adj, u)):
+        for i in range(pres.m):
+            for j in range(pres.m):
+                entry = zero
+                for t in range(pres.m):
+                    entry = entry + a[i][t].mul_series(b[t][j])
+                assert entry == (det if i == j else zero)

@@ -92,7 +92,7 @@ def test_rational_divide_loads_a_bounded_amount_of_source(tmp_path):
     }
     assert source_lines(names) <= RATIONAL_DIVIDE_LINE_BUDGET
     # what it loaded when cli became the only command-line reader
-    assert source_lines(names) <= 1719
+    assert source_lines(names) <= 1703
 
 
 @pytest.mark.parametrize("code, argv", [
@@ -138,7 +138,7 @@ def test_relations_loads_syzygies_but_not_families(tmp_path):
     if NO_HASHLIB:
         assert "hashlib" not in names
     # what it loaded when cli became the only command-line reader
-    assert source_lines(names) <= 2244
+    assert source_lines(names) <= 2227
 
 
 def test_parametric_divide_loads_coefficients(tmp_path):
@@ -163,7 +163,7 @@ def test_parametric_call_loads_no_family_code(tmp_path, command):
 # -- package namespace ---------------------------------------------------------
 
 def test_public_names_are_the_submodule_objects():
-    assert len(formaldiv.__all__) == 44
+    assert len(formaldiv.__all__) == 43
     assert not set(formaldiv.__all__) & SUBMODULES
     for name in formaldiv.__all__:
         module = import_module(f"formaldiv.{formaldiv._MODULE_OF[name]}")

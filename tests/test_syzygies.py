@@ -12,6 +12,9 @@ from formaldiv import (
     QQ,
     DeltaPartition,
     ModExponent,
+    PositiveLinearForm,
+    StandardOrder,
+    SyzygyOrder,
     TruncatedSeries,
     canonicalize,
     complete_to_standard_basis,
@@ -20,7 +23,6 @@ from formaldiv import (
     relations_of_generators,
     standard_relations,
     syzygy_diagram,
-    syzygy_order_for,
 )
 from formaldiv import io
 from formaldiv.coefficients import LocalizedFraction, ParamPolynomial
@@ -48,7 +50,7 @@ def test_syzygy_diagram_two_squares():
     basis = two_squares_basis()
     exps = [e.initial(basis.order).exponent for e in basis.elements]
     part = DeltaPartition(exps)
-    sorder = syzygy_order_for(exps, basis.order.form)
+    sorder = SyzygyOrder(basis.order.form, exps)
     diag = syzygy_diagram(part, order=sorder)
     # one crossing: the later vertex shifted by the earlier one
     assert len(diag.vertices) == 1
@@ -59,14 +61,14 @@ def test_syzygy_diagram_two_squares():
 def test_syzygy_diagram_single_divisor_is_empty():
     exps = [ModExponent((1, 2), 1)]
     part = DeltaPartition(exps)
-    diag = syzygy_diagram(part, order=syzygy_order_for(exps, unit_order(2).form))
+    diag = syzygy_diagram(part, order=SyzygyOrder(unit_order(2).form, exps))
     assert diag.is_empty
 
 
 def test_syzygy_diagram_duplicate_exponent():
     exps = [ModExponent((1, 0), 1), ModExponent((1, 0), 1)]
     part = DeltaPartition(exps)
-    diag = syzygy_diagram(part, order=syzygy_order_for(exps, unit_order(2).form))
+    diag = syzygy_diagram(part, order=SyzygyOrder(unit_order(2).form, exps))
     assert diag.vertices == (ModExponent((0, 0), 2),)
 
 
@@ -79,7 +81,7 @@ def test_syzygy_diagram_law_enumerated():
                 ModExponent((rng.randint(0, 3), rng.randint(0, 3)), rng.randint(1, 2))
             )
         part = DeltaPartition(exps)
-        diag = syzygy_diagram(part, order=syzygy_order_for(exps, unit_order(2).form))
+        diag = syzygy_diagram(part, order=SyzygyOrder(unit_order(2).form, exps))
         for i in range(len(exps)):
             for gamma in iter_alphas(2, 6):
                 assert diag.contains(ModExponent(gamma, i + 1)) == (
@@ -323,6 +325,25 @@ def test_presentation_two_component_module():
         )
         assert oracle.spanned_modulo_inert([g1, g2, g3], list(pres.relations), h)
 
+
+
+def test_presentation_under_weights_that_truncation_restarts():
+    # weights 1/3 and 3 put x^2 before y; the basis vertex (0,2)@1 comes from
+    # a multiple that truncation strips of its initial term
+    order = StandardOrder(PositiveLinearForm((Fraction(1, 3), Fraction(3))))
+    g1 = ser(2, 2, 3, {((0, 1), 1): Fraction(-3, 2), ((2, 0), 1): Fraction(7, 3), ((1, 0), 2): -1})
+    g2 = ser(2, 2, 3, {((1, 0), 1): 1, ((0, 0), 2): 4, ((1, 0), 2): Fraction(-5, 4)})
+    pres = relations_of_generators(order, [g1, g2])
+    assert [(v.alpha, v.comp) for v in pres.basis.diagram.vertices] == [
+        ((0, 0), 2), ((2, 0), 1), ((0, 2), 1)]
+    for r in pres.relations:
+        assert relation_defect(r, [g1, g2]).is_zero
+    for vec in oracle.relations_oracle([g1, g2], 3):
+        h = TruncatedSeries(
+            2, 2, 3, QQ,
+            {ModExponent(beta, i + 1): c for (beta, i), c in vec.items()},
+        )
+        assert oracle.spanned_modulo_inert([g1, g2], list(pres.relations), h)
 
 def _assert_adjugate_identity(u, det, adj):
     """U * adj(U) == adj(U) * U == det(U) * I."""
