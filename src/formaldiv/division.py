@@ -242,8 +242,8 @@ def complete_to_standard_basis(
         _ensure_unit(ring, it.coefficient, new_dens)
 
     def tests_of(part, i):
-        # multiples x^gamma * work[i] of total degree above trunc - deg(in)
-        # lose the initial term; the least of them that keep a term start anew
+        # x^gamma * work[i] loses its initial term once |gamma| > trunc - deg(in);
+        # while a term is left it starts anew, and |gamma| = k covers the rest
         gammas = part.box_complement_generators(i)
         k = trunc + 1 - exps[i].degree
         if k <= trunc - min(e.degree for e in work[i].terms):
