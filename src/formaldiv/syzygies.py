@@ -15,20 +15,19 @@ coordinates, so the construction stays inside the localized coefficient ring;
 its validity at a specialization point is certified by the recorded
 denominators together with the constant term of one determinant.  That
 determinant, det U of the change-of-generators matrix, and the adjugate of U
-come from one first-row cofactor expansion that computes each minor once:
-O(m^2 2^m) series products for m kept generators, in the operation order of
-a plain expansion, so unreduced localized fractions print the same.
+come from Berkowitz's division-free characteristic polynomial and
+Cayley-Hamilton: O(m^4) series products for m kept generators.
 
 Each generator list is completed once, a candidate subset only until it
 reaches the target diagram (the full list's).  A greedy pass, over the
 generators and then the basis, ends at the target's count of lowest-grade
 vertices; the completion that accepted its last drop is the survivors' basis.
 
-Every product of series matrices in a presentation (Xi and Theta, U, each
-eta + Xi*zeta and each adj(U)*v) and in `division`'s provenance replays is
-one `_matmul`, which sums on ints over the rationals and with `_dot`, left
-to right, over the parametric rings, whose unreduced fractions print by
-that order.
+Every product of series matrices in a presentation (Xi and Theta, U, det U
+and adj U, each eta + Xi*zeta and each adj(U)*v) and in `division`'s
+provenance replays is one `_matmul`, which sums on ints over the rationals
+and with `_dot`, left to right, over the parametric rings, whose unreduced
+fractions print by that order.
 
 The `syzygy` and `relations` results are shaped as JSON here, so a call that
 computes no relations loads none of it.
@@ -242,37 +241,37 @@ def _greedy_subset(order, pool, full):
 # ---------------------------------------------------------------------------
 
 def _det_adj(m, one):
-    """(det, adjugate) of a nonempty square matrix of one-component series.
-
-    Every minor is the `_dot` of its first-row expansion, with the sums and
-    their order of a plain recursive cofactor expansion, and is memoized on
-    its (rows, cols) index tuples: O(m^2 2^m) series products, not O(m!).
-    """
-    memo = {}
-
-    def det(rows, cols):
-        if len(rows) <= 1:
-            return m[rows[0]][cols[0]] if rows else one
-        key = (rows, cols)
-        if key not in memo:
-            top, rest = m[rows[0]], rows[1:]
-            memo[key] = _dot((-top[c] if k % 2 else top[c], det(rest, cols[:k] + cols[k + 1:]))
-                             for k, c in enumerate(cols))
-        return memo[key]
-
-    full = tuple(range(len(m)))
-    adj = [[None] * len(m) for _ in full]
-    for i in full:
-        for j in full:
-            cof = det(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
-            adj[j][i] = -cof if (i + j) % 2 else cof
-    return det(full, full), adj
+    """(det, adjugate) of a nonempty k x k matrix of one-component series in
+    O(k^4) series products, all in `_matmul` (Berkowitz, Inf. Process. Lett.
+    18, 1984).  For each trailing block [[a, R], [C, S]] of m, the
+    coefficients c_i of det(x*I - block) are the lower triangular Toeplitz
+    matrix of (1, -a, -R*C, -R*S*C, ...) times those for S; then det =
+    (-1)^k c_k, and adj = (-1)^(k-1) (m^(k-1) + c_1 m^(k-2) + ... + c_(k-1) I)
+    by Cayley-Hamilton, evaluated by Horner."""
+    k = len(m)
+    if k == 1:
+        return m[0][0], [[one]]
+    zero = TruncatedSeries.zero(one.n, 1, one.trunc, one.ring)
+    poly = [[one], [-m[-1][-1]]]  # c_0, c_1 of the trailing 1 x 1 block
+    for r in reversed(range(k - 1)):
+        sub, powers = [row[r + 1:] for row in m[r + 1:]], [m[r][r + 1:]]
+        for _ in range(k - r - 2):
+            powers += _matmul(powers[-1:], sub)  # R, R*S, R*S^2, ...
+        col = [one, -m[r][r], *(-w for (w,) in _matmul(powers, [[row[r]] for row in m[r + 1:]]))]
+        poly = _matmul([[col[i - j] if i >= j else zero for j in range(len(poly))]
+                        for i in range(len(col))], poly)
+    (c1,), *rest, (det,) = poly[1:]
+    adj = [[e + c1 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(m)]
+    for (c,) in rest:
+        adj = _matmul(m, adj, [[c if i == j else zero for j in range(k)] for i in range(k)])
+    return (-det, adj) if k % 2 else (det, [[-e for e in row] for row in adj])
 
 
 def _matmul(a, b, start=None):
     """The product of two matrices of one-component series, plus start if
     given: entry (i, j) is start[i][j] + sum over t of a[i][t] * b[t][j].
-    It is every matrix product of a presentation and of a provenance replay.
+    It is every matrix product of a provenance replay and of a presentation,
+    whose det U and adj U take O(m^4) series products for m kept generators.
 
     Over the rationals, a is packed over one denominator and b with start
     over another, each entry as (index, numerator) int pairs sorted by a

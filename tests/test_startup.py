@@ -137,8 +137,9 @@ def test_relations_loads_syzygies_but_not_families(tmp_path):
     assert not mods & {"coefficients", "families", "linalg"}
     if NO_HASHLIB:
         assert "hashlib" not in names
-    # what it loaded when cli became the only command-line reader
-    assert source_lines(names) <= 2227
+    # what it loaded once the determinant and adjugate became Berkowitz's
+    # (2,227 when cli became the only command-line reader)
+    assert source_lines(names) <= 2226
 
 
 def test_parametric_divide_loads_coefficients(tmp_path):

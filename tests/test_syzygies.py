@@ -201,6 +201,22 @@ def test_oracle_relations_reduce_to_zero():
             assert active_part(rem, basis.elements).is_zero
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: under weights where an initial term outranks a term of "
+    "lower total degree, the syzygy diagram misses relations"
+))
+def test_weighted_relation_reduces_to_inert_terms():
+    # phi = x^2 + y under weights 1/3 and 3 at D = 3: the basis is (phi, -y^2)
+    # and the syzygy diagram only [((2, 0), 2)], yet h = y^2*e1 + y*e2 is a
+    # relation (y^2*phi - y^3 = x^2*y^2 lies past the horizon) whose
+    # remainder keeps x^(0,2)@1 + x^(0,1)@2 active
+    order = StandardOrder(PositiveLinearForm((Fraction(1, 3), Fraction(3))))
+    basis = complete_to_standard_basis(order, [ser(2, 1, 3, {(2, 0): 1, (0, 1): 1})])
+    h = ser(2, 2, 3, {((0, 2), 1): 1, ((0, 1), 2): 1})
+    rem = reduce_relation(h, standard_relations(basis)).remainder  # checks h is a relation
+    assert active_part(rem, basis.elements).is_zero
+
+
 # -- presentations of arbitrary generator lists -----------------------------------------
 
 def test_presentation_worked_example():
@@ -345,6 +361,28 @@ def test_presentation_under_weights_that_truncation_restarts():
         )
         assert oracle.spanned_modulo_inert([g1, g2], list(pres.relations), h)
 
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: a two-slot presentation misses a near-relation of the oracle"
+))
+def test_two_slot_presentation_spans_the_oracle_relation():
+    # one relation is emitted, and it does not span the one relation that
+    # the oracle finds at the vertex bound (also at D = 5, 6 and 7)
+    g1 = ser(1, 2, 4, {((2,), 1): -1, ((1,), 2): Fraction(2, 3), ((2,), 2): Fraction(1, 2),
+                       ((3,), 2): Fraction(-5, 2)})
+    g2 = ser(1, 2, 4, {((2,), 1): Fraction(1, 4), ((1,), 2): Fraction(2, 3),
+                       ((2,), 2): Fraction(1, 2), ((3,), 2): Fraction(2, 3)})
+    g3 = ser(1, 2, 4, {((1,), 1): 4, ((3,), 1): Fraction(3, 2), ((4,), 1): 1, ((0,), 2): 1})
+    gens = [g1, g2, g3]
+    pres = relations_of_generators(unit_order(1), gens)
+    bound = oracle.vertex_relation_bound(4, pres.basis.diagram)
+    vecs = oracle.relations_oracle(gens, bound)
+    for vec in vecs:
+        h = TruncatedSeries(1, 3, 4, QQ, {ModExponent(beta, i + 1): c
+                                          for (beta, i), c in vec.items()})
+        assert oracle.spanned_modulo_inert(gens, list(pres.relations), h)
+
+
 def _assert_adjugate_identity(u, det, adj):
     """U * adj(U) == adj(U) * U == det(U) * I."""
     size = len(u)
@@ -472,7 +510,7 @@ def _random_series_matrix(rng, size, ring, coeff):
     return [[entry() for _ in range(size)] for _ in range(size)]
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("ring_name", ["QQ", "localized"])
 def test_det_adj_matches_leibniz_and_adjugate_identity(ring_name, size):
     if ring_name == "QQ":
@@ -488,10 +526,13 @@ def test_det_adj_matches_leibniz_and_adjugate_identity(ring_name, size):
         _assert_adjugate_identity(u, det, adj)
 
 
-# The sums that `_dot` replaced in the determinant and adjugate, the
-# provenance replay and the division residual, as they were written out by
-# hand.  A localized fraction prints by the grouping of the sum that built
-# it, so the `_dot` versions must print the same, not only be equal.
+# The cofactor expansion that Berkowitz's determinant and adjugate replaced,
+# and the sums that `_dot` replaced in the provenance replay and the
+# division residual, as they were written out by hand.  A localized fraction
+# prints by the grouping of the sum that built it, so the replays and the
+# residual must print the same, not only be equal; the determinant and
+# adjugate are summed in another order and must be equal, and print the
+# same over QQ, whose fractions are reduced.
 
 def _handwritten_det_adj(m, one):
     memo = {}
@@ -646,7 +687,9 @@ def test_dot_sums_print_as_the_handwritten_sums(source):
     for u in matrices:
         det, adj = _det_adj(u, one(u[0][0]))
         ref_det, ref_adj = _handwritten_det_adj(u, one(u[0][0]))
-        assert _printed([[det], *adj]) == _printed([[ref_det], *ref_adj])
+        assert [[det], *adj] == [[ref_det], *ref_adj]
+        if ring == QQ:
+            assert _printed([[det], *adj]) == _printed([[ref_det], *ref_adj])
 
     # the presentation's basis and completions of random lists over its ring
     alphas = [a for a in iter_alphas(2, 3) if sum(a)]
@@ -715,15 +758,18 @@ def test_rational_provenance_replays_make_no_series_product(monkeypatch):
 
 
 @pytest.mark.parametrize("source, series_products, param_products", [
-    ("family_adjugate.json", 39, 256),
-    ("family_xi.json", 26, 130),
-    ("family_relations.json", 10, 26),
+    ("family_adjugate.json", 72, 413),
+    ("family_xi.json", 31, 132),
+    ("family_relations.json", 15, 28),
 ])
 def test_localized_presentation_keeps_its_products(monkeypatch, source, series_products,
                                                     param_products):
     # over a localized ring every replay step is the same `_dot` on the same
-    # pairs as before it was a `_matmul`, so no product is added or dropped
-    # (reading the file adds 8, 1 and 0 polynomial products)
+    # pairs as before it was a `_matmul`; Berkowitz's determinant and
+    # adjugate take more products than the cofactor expansion did at m <= 3
+    # (39, 26 and 10 series products, 256, 130 and 26 polynomial ones), and
+    # its Toeplitz matrices add products by zero (reading the file adds 8, 1
+    # and 0 polynomial products)
     pm = io.parse_module_file(str(Path(__file__).parent / "fixtures" / source)).param_module()
     order, gens = pm.order, pm.localized()[1]
     counts = _count_products(monkeypatch)
@@ -733,8 +779,10 @@ def test_localized_presentation_keeps_its_products(monkeypatch, source, series_p
 
 def test_presentation_m8_monomial_tail():
     # eight distinct quadratic leaders in 4 variables with integer tails of
-    # degree 3..4; this presentation takes 555,136 series products when the
-    # cofactor expansion recomputes its minors, 6,448 when it memoizes them
+    # degree 3..4; this presentation took 555,136 series products when the
+    # cofactor expansion recomputed its minors and 6,448 when it memoized
+    # them; Berkowitz's determinant and adjugate run in `_matmul`'s int
+    # kernel and take none
     rng = random.Random(8)
     quadratic = [a for a in iter_alphas(4, 2) if sum(a) == 2]
     tail = [a for a in iter_alphas(4, 4) if sum(a) >= 3]
@@ -748,6 +796,28 @@ def test_presentation_m8_monomial_tail():
     elapsed = time.monotonic() - t0
     assert pres.m == 8
     assert elapsed < 2.0, f"m = 8 presentation took {elapsed:.2f} s"
+    for r in pres.relations:
+        assert relation_defect(r, gens).is_zero
+    _assert_adjugate_identity(pres.u_matrix, pres.det_u, pres.u_adjugate)
+
+
+def test_presentation_m14_monomial_tail():
+    # fourteen of the fifteen quadratic leaders in 5 variables, tails as in
+    # the m = 8 test: the memoized cofactor expansion took 974,624 series
+    # products and about 5 s here; Berkowitz's O(m^4) takes a few hundredths
+    rng = random.Random(14)
+    quadratic = [a for a in iter_alphas(5, 2) if sum(a) == 2]
+    tail = [a for a in iter_alphas(5, 4) if sum(a) >= 3]
+    gens = [
+        ser(5, 1, 4, {lead: 1, **{a: rng.choice((-3, -2, -1, 1, 2, 3))
+                                  for a in rng.sample(tail, 3)}})
+        for lead in rng.sample(quadratic, 14)
+    ]
+    t0 = time.monotonic()
+    pres = relations_of_generators(unit_order(5), gens)
+    elapsed = time.monotonic() - t0
+    assert pres.m == 14
+    assert elapsed < 2.0, f"m = 14 presentation took {elapsed:.2f} s"
     for r in pres.relations:
         assert relation_defect(r, gens).is_zero
     _assert_adjugate_identity(pres.u_matrix, pres.det_u, pres.u_adjugate)
