@@ -765,11 +765,9 @@ def test_rational_provenance_replays_make_no_series_product(monkeypatch):
 def test_localized_presentation_keeps_its_products(monkeypatch, source, series_products,
                                                     param_products):
     # over a localized ring every replay step is the same `_dot` on the same
-    # pairs as before it was a `_matmul`; Berkowitz's determinant and
-    # adjugate take more products than the cofactor expansion did at m <= 3
-    # (39, 26 and 10 series products, 256, 130 and 26 polynomial ones), and
-    # its Toeplitz matrices add products by zero (reading the file adds 8, 1
-    # and 0 polynomial products)
+    # pairs as before it was a `_matmul`; the determinant and adjugate are
+    # Berkowitz's, whose Toeplitz matrices also multiply by zero and by one
+    # (reading the file adds 8, 1 and 0 polynomial products)
     pm = io.parse_module_file(str(Path(__file__).parent / "fixtures" / source)).param_module()
     order, gens = pm.order, pm.localized()[1]
     counts = _count_products(monkeypatch)
