@@ -213,7 +213,9 @@ class DenominatorSet:
 
     Generators are stored monic (leading coefficient 1); constants are never
     stored.  The set grows append-only, so fractions referring to generator
-    indices stay valid as new generators are recorded.
+    indices stay valid as new generators are recorded.  A unit search makes
+    at most one exact division per generator and distinct quotient: k * 2^k
+    for a non-unit that k pairwise coprime generators divide.
     """
 
     def __init__(self, names, seed=()):
@@ -248,35 +250,26 @@ class DenominatorSet:
         """Decompose p as c * product of generator powers.
 
         Returns (c, {generator index: power}) or None when no such
-        decomposition exists with the current generators.  Results are
-        memoized on (p, generator count): the generator list only grows and
-        the search reads only the generators present when it runs.  The
+        decomposition exists with the current generators.  Generators may
+        share factors, so the search divides by them in index order and
+        backtracks; it is memoized on (quotient, generator count) for p and
+        every quotient it reaches, as the generator list only grows.  The
         powers dict is shared between calls, so callers only read it.
         """
-        if not p:
-            return None
-        key = (p, len(self.generators))
-        try:
-            return self._factor_memo[key]
-        except KeyError:
-            pass
+        return self._factor(p) if p else None
 
-        def walk(q):
-            if q.is_constant:
-                return q.constant_value(), {}
-            for idx, g in enumerate(self.generators):
+    def _factor(self, q):
+        key = (q, len(self.generators))
+        if key not in self._factor_memo:
+            res = (q.constant_value(), {}) if q.is_constant else None
+            for idx, g in enumerate(self.generators if res is None else ()):
                 quot = q.exact_div(g)
-                if quot is not None:
-                    res = walk(quot)
-                    if res is not None:
-                        c, pw = res
-                        pw = dict(pw)
-                        pw[idx] = pw.get(idx, 0) + 1
-                        return c, pw
-            return None
-
-        res = self._factor_memo[key] = walk(p)
-        return res
+                sub = None if quot is None else self._factor(quot)
+                if sub is not None:
+                    res = sub[0], {**sub[1], idx: sub[1].get(idx, 0) + 1}
+                    break
+            self._factor_memo[key] = res
+        return self._factor_memo[key]
 
     def power_product(self, powers: dict[int, int]) -> ParamPolynomial:
         # memoized on the sorted positive powers: an index names one generator

@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import AmbientMismatchError, PreconditionError
@@ -29,14 +29,9 @@ def add_alpha(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(add, a, b))
 
 
-def sub_alpha(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """a - b componentwise, or None if the difference leaves N^n."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+def sub_alpha(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """a - b componentwise; the caller knows that b divides a."""
+    return tuple(map(sub, a, b))
 
 
 class _ModExponentFields(NamedTuple):

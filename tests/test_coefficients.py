@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from formaldiv import (
     QQ,
@@ -21,6 +22,7 @@ from formaldiv.errors import (
 )
 
 XI = ("xi1",)
+ABC = ("a", "b", "c")
 
 
 def poly(text, names=XI):
@@ -168,15 +170,15 @@ def test_divide_by_unit_zero():
         QQ.divide_by_unit(Fraction(1), Fraction(0))
 
 
-def test_unit_factoring_backtracks_over_composite_generators():
-    names = ("a", "b")
-    dset = DenominatorSet(names, seed=[
-        parse_coefficient("a*b", names), parse_coefficient("a", names),
-    ])
-    # a^2*b factors as (a*b)*a but not as a*a*(...): needs the backtrack
-    target = parse_coefficient("a^2*b", names)
-    c, powers = dset.factor_as_unit(target)
-    assert c == 1 and powers == {0: 1, 1: 1}
+@pytest.mark.parametrize("seed, target, expected", [
+    (("a*b", "a"), "a^2*b", (1, {0: 1, 1: 1})),
+    # 2*a*b*c over a*b leaves 2*c, which no generator divides: the search
+    # must back out of a*b
+    (("a*b", "a", "b*c"), "2*a*b*c", (2, {1: 1, 2: 1})),
+])
+def test_unit_factoring_backtracks_over_composite_generators(seed, target, expected):
+    dset = DenominatorSet(ABC, seed=[poly(g, ABC) for g in seed])
+    assert dset.factor_as_unit(poly(target, ABC)) == expected
 
 
 def test_unit_factoring_sees_generators_registered_later():
@@ -186,6 +188,82 @@ def test_unit_factoring_sees_generators_registered_later():
     assert dset.factor_as_unit(target) is None
     assert dset.register(parse_coefficient("b", names)) is not None
     assert dset.factor_as_unit(target) == (2, {0: 1, 1: 1})
+
+
+def _backtracking_walk(generators, q):
+    """The unit search before it was memoized: (c, powers) or None.
+
+    It retries every ordering of the dividing generators, so it is
+    factorial in their number; the tests keep it as the reference.
+    """
+    if q.is_constant:
+        return q.constant_value(), {}
+    for idx, g in enumerate(generators):
+        quot = q.exact_div(g)
+        if quot is not None:
+            res = _backtracking_walk(generators, quot)
+            if res is not None:
+                c, pw = res
+                pw = dict(pw)
+                pw[idx] = pw.get(idx, 0) + 1
+                return c, pw
+    return None
+
+
+SHARED_FACTORS = [poly(f, ABC) for f in ("a", "b", "c", "a + b", "c - 1")]
+_factor_product = st.lists(st.integers(0, len(SHARED_FACTORS) - 1), max_size=4)
+
+
+def _product(indices):
+    out = poly("1", ABC)
+    for i in indices:
+        out = out * SHARED_FACTORS[i]
+    return out
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(gens=st.lists(_factor_product.filter(bool), max_size=5),
+       target=_factor_product, c=st.integers(-3, 3).filter(bool))
+@example(gens=[[0, 1], [0], [1, 2]], target=[0, 1, 2], c=2)
+def test_unit_search_matches_the_backtracking_walk(gens, target, c):
+    # generators are products of shared factors, so a search that never
+    # backtracked would miss decompositions; factoring before and after each
+    # registration also reads the memo across generator counts
+    dset, ref = DenominatorSet(ABC), []
+    p = _product(target).scale(c)
+    for g in map(_product, gens):
+        assert dset.factor_as_unit(p) == _backtracking_walk(ref, p)
+        assert dset.factor_as_unit(g) == _backtracking_walk(ref, g)
+        dset.register(g)
+        g = g.scale(1 / g.leading()[1])
+        if _backtracking_walk(ref, g) is None:
+            ref.append(g)
+        assert dset.generators == ref
+    assert dset.factor_as_unit(p) == _backtracking_walk(ref, p)
+
+
+def test_unit_search_divides_each_quotient_once(monkeypatch):
+    # t, t-1, ..., t-6 all divide (t^2+1)*t*(t-1)*...*(t-6), which is no
+    # unit: the memoized search makes at most 7 * 2^7 exact divisions, where
+    # the backtracking walk made 95,900
+    names = ("t",)
+    linear = [poly(f"t - {i}", names) for i in range(7)]
+    dset = DenominatorSet(names, seed=linear)
+    target = poly("t^2 + 1", names)
+    for g in linear:
+        target = target * g
+    cap, calls = 7 * 2 ** 7, [0]
+    exact_div = ParamPolynomial.exact_div
+
+    def counted(self, g):
+        calls[0] += 1
+        if calls[0] > cap:
+            raise AssertionError(f"more than {cap} exact divisions")
+        return exact_div(self, g)
+
+    monkeypatch.setattr(ParamPolynomial, "exact_div", counted)
+    assert dset.factor_as_unit(target) is None
+    assert calls[0] <= cap
 
 
 # -- evaluation ------------------------------------------------------------------

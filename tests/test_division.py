@@ -6,6 +6,7 @@ import pytest
 from formaldiv import (
     ModExponent,
     Ordering,
+    PolynomialRing,
     TruncatedSeries,
     canonicalize,
     complete_to_standard_basis,
@@ -15,7 +16,12 @@ from formaldiv import (
 )
 from formaldiv import io
 from formaldiv.division import residual
-from formaldiv.errors import AmbientMismatchError, PreconditionError, ZeroDivisorError
+from formaldiv.errors import (
+    AmbientMismatchError,
+    NotInvertibleError,
+    PreconditionError,
+    ZeroDivisorError,
+)
 from formaldiv.syzygies import _greedy_subset
 
 import oracle
@@ -384,3 +390,17 @@ def test_minimal_subset_matches_nakayama_dimension():
         m, subset = minimal_generating_subset(order, gens)
         assert m == oracle.nakayama_dimension(gens)
         assert len(subset) == m
+
+
+def test_divide_over_a_polynomial_ring_needs_constant_initial_coefficients():
+    # without localization only a constant initial coefficient is a unit
+    ring = PolynomialRing(("xi",))
+    xi = ring.variable("xi")
+    g = ser(1, 1, 4, {(1,): ring.from_int(2), (2,): xi}, ring)
+    f = ser(1, 1, 4, {(1,): xi, (3,): ring.one}, ring)
+    res = hironaka_divide(unit_order(1), [g], f)
+    assert res.remainder.is_zero
+    assert residual(res, [g], f).is_zero
+    g = ser(1, 1, 4, {(1,): xi, (2,): ring.one}, ring)
+    with pytest.raises(NotInvertibleError):
+        hironaka_divide(unit_order(1), [g], f)

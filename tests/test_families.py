@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from formaldiv import (
+    Diagram,
     ModExponent,
     Ordering,
     ParamModule,
@@ -196,6 +197,24 @@ def test_scan_skips_points_outside_the_declared_domain():
     statuses = {rec.point: rec.status for rec in report.records}
     assert statuses[(Fraction(0),)] == "skipped"
     assert statuses[(Fraction(1),)] == "ok"
+
+
+@pytest.mark.parametrize("vertex, point, verdicts", [
+    ((3,), 0, (False, True)),  # above the diagram at xi = 0, whose certificate vanishes
+    ((0,), 1, (True, False)),  # below the diagram at xi = 1, whose certificate holds
+])
+def test_scan_reports_false_verdicts(monkeypatch, vertex, point, verdicts):
+    # no sampled family has failed either verdict, so a wrong generic
+    # diagram stands in for one
+    from formaldiv import families
+    pm = family_xi()
+    _, certs = generic_diagram(pm)
+    wrong = Diagram(1, 1, [ModExponent(vertex, 1)], pm.order)
+    monkeypatch.setattr(families, "generic_diagram", lambda _: (wrong, certs))
+    report = semicontinuity_scan(pm, [(point,)])
+    assert (report.semicontinuity_ok, report.genericity_ok) == verdicts
+    payload = families.semicontinuity_report_to_json(report)
+    assert (payload["semicontinuity_ok"], payload["genericity_ok"]) == verdicts
 
 
 def test_scan_census_stable_under_refinement():

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -749,3 +750,22 @@ def test_cli_process_with_stdout_closed_fails_as_a_broken_pipe(tmp_path):
     _, err = proc.communicate()
     assert proc.returncode == 1
     assert err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_diagram_over_many_shared_linear_denominators(tmp_path):
+    # the initial coefficient (t^2+1)*t*(t-1)*...*(t-7) is no unit over the
+    # declared t, t-1, ..., t-7; the unit search retried every ordering of
+    # them and took about 40 s before it searched each quotient once
+    linear = ["t"] + [f"t - {i}" for i in range(1, 8)]
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps({
+        "n": 1, "p": 1, "D": 3, "parameters": ["t"], "denominators": linear,
+        "series": [{"name": "Phi", "terms": [
+            {"component": 1, "exponent": [0],
+             "coeff": "(t^2 + 1)*" + "*".join(f"({g})" for g in linear)},
+            {"component": 1, "exponent": [1], "coeff": "1"}]}]}))
+    start = time.monotonic()
+    data = run_json(tmp_path, "diagram", "--module", str(module))
+    assert time.monotonic() - start < 5.0
+    assert data["payload"]["vertices"] == [[[0], 1]]
+    assert len(data["payload"]["certificates"]["denominator_generators"]) == 9

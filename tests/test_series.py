@@ -5,9 +5,13 @@ import pytest
 
 from formaldiv import (
     QQ,
+    DenominatorSet,
+    LocalizedRing,
     ModExponent,
+    PolynomialRing,
     TruncatedSeries,
     diagram_from_exponents,
+    parse_coefficient,
 )
 from formaldiv.errors import AmbientMismatchError, PreconditionError
 
@@ -111,6 +115,13 @@ def test_partial_basic():
     assert ser(2, 1, 6, {(2, 1): 1}).partial(1) == ser(2, 1, 6, {(1, 1): 2})
     assert ser(2, 1, 6, {(0, 3): 1}).partial(1).is_zero
     assert ser(2, 1, 6, {(1, 0): 1, (0, 2): 3}).partial(2) == ser(2, 1, 6, {(0, 1): 6})
+
+
+def test_partial_over_a_localized_ring():
+    ring = LocalizedRing(PolynomialRing(("xi",)), DenominatorSet(("xi",)))
+    xi = ring.from_poly(parse_coefficient("xi", ("xi",)))
+    f = ser(1, 1, 4, {(1,): xi, (3,): ring.one}, ring)
+    assert f.partial(1) == ser(1, 1, 4, {(0,): xi, (2,): ring.from_int(3)}, ring)
 
 
 def test_partial_stays_outside_diagram():
