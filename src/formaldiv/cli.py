@@ -227,19 +227,19 @@ def run_command(argv=None) -> int:
     try:
         args = _read_args(argv)
         payload, hashes = _dispatch(args)
+        wall = time.monotonic() - started if args["timing"] else None
+        data = io.emit_result(io.build_result(args["command"], hashes, payload, wall),
+                              args["format"])
+        if args["out"]:
+            io.write_atomic(args["out"], data)
+        else:
+            sys.stdout.write(data.decode())
     except _Usage as usage:
         from ._usage import write_usage
         return write_usage(*usage.args, _COMMANDS, _REQUIRED, _FLAGS, _POINT_SOURCES)
     except EngineError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    wall = time.monotonic() - started if args["timing"] else None
-    result = io.build_result(args["command"], hashes, payload, wall)
-    data = io.emit_result(result, args["format"])
-    if args["out"]:
-        io.write_atomic(args["out"], data)
-    else:
-        sys.stdout.write(data.decode())
     return 0
 
 

@@ -225,8 +225,6 @@ class DenominatorSet:
         self._power_memo: dict = {}
         self._value_memo: dict = {}  # (index, point) -> generator value
         for g in seed:
-            if not g:
-                raise PreconditionError("zero polynomial in denominator set")
             self.register(g)
 
     def _normalize(self, p: ParamPolynomial) -> ParamPolynomial:

@@ -12,10 +12,11 @@ exponent is split once, and since only finitely many exponents have total
 degree <= trunc, the pass terminates.  The quotients' shifted supports sit
 inside their cells and the remainder is supported on the remainder region.
 
-Over a localized coefficient ring the initial coefficients of the divisors
-are the only values ever inverted; each one is recorded in the shared
-denominator set, and the record of newly registered polynomials is returned
-with every result.
+Over a localized coefficient ring only the divisors' initial coefficients
+are ever inverted.  Each is registered in the shared denominator set, which
+only grows, and a result lists those it registered.  A completion registers
+each list element's as it is added, so its divisions register none; it and
+its canonical basis list exactly its registrations as new_denominators.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ class StandardBasis:
     generators (valid modulo degree > trunc).  It is not built with the
     basis: completion and canonicalize keep only the division quotients they
     already have, and provenance replays them each time it is read.
+    new_denominators are exactly those its completion registered.
     """
 
     __slots__ = ("diagram", "elements", "order", "canonical", "new_denominators", "_record")
@@ -262,7 +264,6 @@ def complete_to_standard_basis(
         if test.is_zero:
             continue
         res = hironaka_divide(order, work, test)
-        new_dens.extend(res.new_denominators)
         r = res.remainder
         if r.is_zero:
             continue
@@ -277,7 +278,7 @@ def complete_to_standard_basis(
     index = tuple(exps.index(v) for v in diagram.vertices)
     return StandardBasis(diagram, tuple(work[k] for k in index), order,
                          (len(gens), tuple(steps), index),
-                         new_denominators=tuple(dict.fromkeys(new_dens)))
+                         new_denominators=tuple(new_dens))
 
 
 def canonicalize(basis: StandardBasis) -> StandardBasis:
@@ -287,18 +288,16 @@ def canonicalize(basis: StandardBasis) -> StandardBasis:
     which generators produced the diagram.
     """
     order, first = basis.order, basis.elements[0]
-    new_dens = list(basis.new_denominators)
     elements = []
     rows = []  # each element's quotients over the source basis
     for v in basis.diagram.vertices:
         mono = TruncatedSeries.monomial(
             v, first.ring.one, first.n, first.p, first.trunc, first.ring)
         res = hironaka_divide(order, basis.elements, mono)
-        new_dens.extend(res.new_denominators)
         elements.append(mono - res.remainder)
         rows.append(res.quotients)
     return StandardBasis(basis.diagram, tuple(elements), order, (basis, tuple(rows)),
-                         canonical=True, new_denominators=tuple(dict.fromkeys(new_dens)))
+                         canonical=True, new_denominators=basis.new_denominators)
 
 
 def residual(

@@ -85,9 +85,6 @@ class ExceptionalCertificates(NamedTuple):
     def flags_at(self, point) -> tuple[bool, ...]:
         return tuple(bool(p.evaluate(point)) for p in self.all_polys())
 
-    def nonvanishing_at(self, point) -> bool:
-        return all(self.flags_at(point))
-
 
 def _certificates(basis: StandardBasis, det_u_constant=None) -> ExceptionalCertificates:
     """The basis initial coefficients and the denominators of its ring."""
@@ -292,15 +289,12 @@ def specialized_relations_check(
     all_passed = True
     for raw in points:
         point = tuple(Fraction(v) for v in raw)
-        if not certs.nonvanishing_at(point):
+        if not all(certs.flags_at(point)):
             records.append(RelationsPointRecord(point, "skipped", reason="certificate vanishes"))
             continue
-        try:
-            gens_a = specialize(pm, point)
-            rels_a = [_at(r, point) for r in pres.relations]
-        except VanishingDenominatorError as exc:
-            records.append(RelationsPointRecord(point, "skipped", reason=str(exc)))
-            continue
+        # seeds and relation denominators are constants times products of certificates
+        gens_a = specialize(pm, point)
+        rels_a = [_at(r, point) for r in pres.relations]
         bound = relation_multiplier_bound(pm.order, gens_a)
         oracle = oracle_relations(gens_a, bound)
         spanned = _all_spanned(rels_a, gens_a, oracle)
@@ -364,13 +358,10 @@ def grid_points(
 
 def _parse_point(text: str, arity: int) -> tuple[Fraction, ...]:
     """A point given as comma-separated rationals, as `--at` takes it."""
-    parts = [s.strip() for s in text.split(",")]
+    parts = text.split(",")
     if len(parts) != arity:
         raise SchemaError(f"--at expects {arity} coordinates, got {len(parts)}")
-    try:
-        return tuple(Fraction(s) for s in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"--at: bad rational: {exc}") from None
+    return tuple(io._as_fraction(s, "--at") for s in parts)
 
 
 def _parse_grid(spec: str, param_names) -> list[tuple[int, int]]:

@@ -323,19 +323,19 @@ def emit_result(result: dict, fmt: str = "json") -> bytes:
 
 
 def write_atomic(path, data: bytes):
-    """Replace path with data; the file gets mode 0o666 less the umask, as
-    a plain create would, not mkstemp's 0o600."""
-    import tempfile
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".formaldiv-")
+    """Replace path with data through a new file beside it, created with
+    mode 0o666 less the umask, as a plain create would be.  A path that
+    cannot be written is a SchemaError and leaves no temporary file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".formaldiv-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from None

@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from formaldiv import (
     Diagram,
@@ -20,7 +21,8 @@ from formaldiv import (
     specialized_relations_check,
 )
 from formaldiv import io
-from formaldiv.errors import PreconditionError, VanishingDenominatorError
+from formaldiv.errors import (
+    DegenerateFamilyError, PreconditionError, VanishingDenominatorError)
 from formaldiv.families import _all_spanned
 
 import catalog
@@ -327,6 +329,54 @@ def test_relations_check_single_generator_trivial():
     report = specialized_relations_check(pm, [(1,), (2,)])
     assert report.all_passed
     assert len(report.presentation.relations) == 0
+
+
+@st.composite
+def seeded_families(draw):
+    """A one-parameter family over two variables whose declared seeds are
+    c1*(t - a), c2*(t - b) and their product (t - a)*(t - b), in any order,
+    and whose coefficients use those factors too."""
+    a, b = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
+    fa, fb = f"(t - ({a}))", f"(t - ({b}))"
+    scale = st.sampled_from(["1", "2", "-1/3"])
+    seeds = draw(st.permutations([f"{draw(scale)}*{fa}", f"{draw(scale)}*{fb}", f"{fa}*{fb}"]))
+    coeff = st.sampled_from(["1", "-2", "t", "t + 1", fa, fb, f"{fa}*{fb}", f"t*{fa}"])
+    exps = st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (0, 3)])
+    ring = PolynomialRing(("t",))
+    gens = [
+        TruncatedSeries(2, 1, 4, ring, {ModExponent(e, 1): parse_coefficient(c, ("t",))
+                                        for e, c in terms.items()})
+        for terms in draw(st.lists(st.dictionaries(exps, coeff, min_size=1, max_size=3),
+                                   min_size=1, max_size=3))
+    ]
+    pm = ParamModule(order=unit_order(2), generators=tuple(gens), param_names=("t",),
+                     denominator_seed=tuple(parse_coefficient(s, ("t",)) for s in seeds))
+    return pm, (a, b)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seeded_families())
+def test_certified_points_specialize_every_relation(family):
+    # every relation denominator is a product of registered generators, and
+    # every declared seed is one of them or a constant times such a product,
+    # so the certificates vanish wherever a declared seed or a relation
+    # denominator does
+    from formaldiv.families import _at, _certificates
+    from formaldiv.syzygies import relations_of_generators
+    pm, roots = family
+    try:
+        pres = relations_of_generators(pm.order, pm.localized()[1])
+    except DegenerateFamilyError:
+        assume(False)
+    certs = _certificates(pres.basis, pres.det_u_certificate)
+    for point in grid_points([(-4, 4)]):
+        if all(certs.flags_at(point)):
+            specialize(pm, point)
+            for r in pres.relations:
+                _at(r, point)
+    report = specialized_relations_check(pm, [(root,) for root in roots])
+    assert [(rec.status, rec.reason) for rec in report.records] == [
+        ("skipped", "certificate vanishes")] * 2
 
 
 def test_all_spanned_counts_coordinates_no_multiple_reaches():

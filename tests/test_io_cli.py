@@ -504,6 +504,63 @@ def test_exit_code_precondition():
     ) == 3
 
 
+# -- input checks -------------------------------------------------------------------------
+
+def _module_variants(tmp_path):
+    """module_weighted.json with unit weights, and with one term given twice."""
+    base = json.loads((FIXTURES / "module_weighted.json").read_text())
+    term = {"component": 1, "exponent": [2, 0], "coeff": "1"}
+    return {
+        "UNWEIGHTED": _write_module(tmp_path, "unweighted.json", {**base, "weights": [1, 1]}),
+        "DUPLICATE": _write_module(tmp_path, "duplicate.json",
+                                   {**base, "series": [{"terms": [term, term]}]}),
+    }
+
+
+@pytest.mark.parametrize("code, message, argv", [
+    (2, "dividend order weights differ from module",
+     ("divide", "--module", fx("module_weighted.json"), "--dividend", "UNWEIGHTED")),
+    (2, "dividend file must contain exactly one series",
+     ("divide", "--module", fx("module_squares.json"), "--dividend", fx("module_squares.json"))),
+    (3, "empty grid range 2..-2", ("semicont-scan", "--grid", "xi1:2..-2")),
+    (2, "--grid: expected 'lo..hi' in 'xi1:0'", ("semicont-scan", "--grid", "xi1:0")),
+    (2, "--grid: invalid literal for int()", ("semicont-scan", "--grid", "xi1:a..2")),
+    (2, "missing ['xi1'], unknown ['t']", ("relations-check", "--grid", "t:0..2")),
+    (2, "one of --points, --grid, or --seed is required", ("semicont-scan",)),
+    (2, "--at expects 1 coordinates, got 2", ("specialize", "--at", "1,2")),
+    (2, "--at: bad rational 'x'", ("specialize", "--at", "x")),
+    (2, "duplicate exponent [2, 0] in 'F1'", ("diagram", "--module", "DUPLICATE")),
+])
+def test_cli_rejects_malformed_input(tmp_path, capsys, code, message, argv):
+    # the family commands run on family_pivot.json unless argv names a module
+    files = _module_variants(tmp_path)
+    module = () if "--module" in argv else ("--module", fx("family_pivot.json"))
+    assert run(argv[0], *module, *(files.get(arg, arg) for arg in argv[1:])) == code
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and err.count("\n") == 1
+
+
+def test_integer_coeff_reads_as_its_decimal_string(tmp_path):
+    base = json.loads((FIXTURES / "module_weighted.json").read_text())
+    payloads = []
+    for coeff in (-3, "-3"):
+        terms = [{**term, "coeff": coeff} for term in base["series"][0]["terms"]]
+        path = _write_module(tmp_path, "m.json", {**base, "series": [{"terms": terms}]})
+        payloads.append(run_json(tmp_path, "std-basis", "--module", path)["payload"])
+    assert payloads[0] == payloads[1]
+    assert {term["coeff"] for term in payloads[0]["elements"][0]["terms"]} == {"-3"}
+
+
+def test_timing_adds_only_the_wall_time(tmp_path):
+    argv = ("diagram", "--module", fx("module_squares.json"), "--out")
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert run(*argv, str(plain)) == 0
+    assert run(*argv, str(timed), "--timing") == 0
+    result = json.loads(timed.read_text())
+    assert result.pop("wall_time_s") >= 0
+    assert io.emit_result(result) == plain.read_bytes()
+
+
 # -- where the family checks run ----------------------------------------------------------
 #
 # A module file is read without the checks a family needs; they run when a
@@ -622,6 +679,19 @@ def test_output_written_atomically(tmp_path):
     assert not leftovers
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/result.json", "No such file or directory"),
+    ("folder", "Is a directory"),
+])
+def test_unwritable_output_is_a_schema_error(tmp_path, capsys, target, reason):
+    (tmp_path / "folder").mkdir()
+    out = tmp_path / target
+    assert run("diagram", "--module", fx("module_unit.json"), "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+    leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".formaldiv-")]
+    assert not leftovers and os.listdir(tmp_path / "folder") == []
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_output_file_mode_follows_umask(tmp_path, umask):
     out, plain = tmp_path / "result.json", tmp_path / "plain.json"
@@ -691,6 +761,14 @@ def test_cli_process_exit_codes_keep_their_stderr(capsys, code, argv):
     assert run(*argv) == code
     assert (proc.returncode, out, err.decode()) == (code, b"", capsys.readouterr().err)
     assert err.startswith(b"error: " if code == 2 else b"precondition violated: ")
+
+
+def test_cli_process_unwritable_output_exits_2(tmp_path):
+    out = tmp_path / "missing" / "result.json"
+    proc = cli_process("diagram", "--module", fx("module_unit.json"), "--out", str(out))
+    stdout, err = proc.communicate()
+    assert (proc.returncode, stdout) == (2, b"")
+    assert err == f"error: cannot write {out}: No such file or directory\n".encode()
 
 
 @pytest.mark.parametrize("weights", [None, [1, 1]])

@@ -91,9 +91,10 @@ def test_rational_divide_loads_a_bounded_amount_of_source(tmp_path):
         "cli", "io", "errors", "rationals", "exponents", "series", "division",
     }
     assert source_lines(names) <= RATIONAL_DIVIDE_LINE_BUDGET
-    # what it loaded once exponents.sub_alpha became total (1,703 when cli
-    # became the only command-line reader)
-    assert source_lines(names) <= 1698
+    # what it loaded once completion and canonicalize stopped re-collecting
+    # denominators (1,698 once exponents.sub_alpha became total, 1,703 when
+    # cli became the only command-line reader)
+    assert source_lines(names) <= 1697
 
 
 @pytest.mark.parametrize("code, argv", [
@@ -138,10 +139,11 @@ def test_relations_loads_syzygies_but_not_families(tmp_path):
     assert not mods & {"coefficients", "families", "linalg"}
     if NO_HASHLIB:
         assert "hashlib" not in names
-    # what it loaded once exponents.sub_alpha became total (2,226 once the
-    # determinant and adjugate became Berkowitz's, 2,227 when cli became the
-    # only command-line reader)
-    assert source_lines(names) <= 2221
+    # what it loaded once completion and canonicalize stopped re-collecting
+    # denominators (2,221 once exponents.sub_alpha became total, 2,226 once
+    # the determinant and adjugate became Berkowitz's, 2,227 when cli became
+    # the only command-line reader)
+    assert source_lines(names) <= 2220
 
 
 def test_parametric_divide_loads_coefficients(tmp_path):

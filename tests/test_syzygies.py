@@ -155,6 +155,15 @@ def test_reduce_zero_relation():
     assert res.remainder.is_zero
 
 
+def test_reduce_by_a_one_element_basis_keeps_the_relation():
+    # one element has no relations to divide by; x2^6 * x1 lies past the horizon
+    basis = complete_to_standard_basis(unit_order(2), [ser(2, 1, 6, {(1, 0): 1})])
+    syz = standard_relations(basis)
+    h = ser(2, 1, 6, {(0, 6): 1})
+    res = reduce_relation(h, syz)
+    assert (syz.relations, res.quotients, res.remainder) == ((), (), h)
+
+
 def test_reduce_rejects_non_relation():
     basis = two_squares_basis()
     syz = standard_relations(basis)
