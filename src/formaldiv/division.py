@@ -53,20 +53,20 @@ class StandardBasis:
 
     elements[i] has initial exponent equal to diagram.vertices[i].  canonical
     means each element is its vertex monomial plus a tail supported outside
-    the diagram.  provenance expresses each element in the original
-    generators (valid modulo degree > trunc).  It is not built with the
-    basis: completion and canonicalize keep only the division quotients they
-    already have, and provenance replays them each time it is read.
+    the diagram: a normal form, which keeps no provenance.  Otherwise
+    provenance expresses each element in the original generators (valid
+    modulo degree > trunc); completion keeps only the division quotients it
+    already has, and provenance replays them each time it is read.
     new_denominators are exactly those its completion registered.
     """
 
     __slots__ = ("diagram", "elements", "order", "canonical", "new_denominators", "_record")
 
     def __init__(self, diagram: Diagram, elements: tuple[TruncatedSeries, ...], order,
-                 record, canonical=False, new_denominators: tuple[ParamPolynomial, ...] = ()):
+                 record, new_denominators: tuple[ParamPolynomial, ...] = ()):
         self.diagram, self.elements, self.order = diagram, elements, order
-        self.canonical, self.new_denominators = canonical, new_denominators
-        self._record = record  # (q, steps, index), or (source, rows) if canonical
+        self.canonical, self.new_denominators = record is None, new_denominators
+        self._record = record  # the completion's (q, steps, index); None if canonical
 
     @property
     def vertices(self) -> tuple[ModExponent, ...]:
@@ -75,7 +75,7 @@ class StandardBasis:
     @property
     def provenance(self) -> tuple[tuple[TruncatedSeries, ...], ...]:
         if self.canonical:
-            return _replay_canonical(*self._record)
+            raise PreconditionError("a canonical basis keeps no provenance")
         return _replay_completion(self.elements[0], *self._record)
 
     def __len__(self):
@@ -100,12 +100,6 @@ def _replay_completion(first, q, steps, index):
     return tuple(prov[k] for k in index)
 
 
-def _replay_canonical(source, rows):
-    """Provenance of canonical elements sum_j Q_j * source_j; see above on `_matmul`."""
-    from .syzygies import _matmul
-    return tuple(map(tuple, _matmul(rows, source.provenance)))
-
-
 def _ensure_unit(ring, coeff, sink: list):
     """Make coeff invertible over a localized ring, recording new generators."""
     dset = getattr(ring, "dset", None)
@@ -123,13 +117,12 @@ def hironaka_divide(
     """Divide a series vector by an ordered list of nonzero series vectors.
 
     Returns the unique quotients/remainder with cell-support certificates;
-    dividend - sum(Q_i * divisor_i) - R has no term of degree <= trunc.
+    dividend - sum(Q_i * divisor_i) - R has no term of degree <= trunc, and
+    an empty list leaves the whole dividend as R.
     Working terms are taken least first from a heap keyed by order.key
     (keys are injective, so ties never occur); each is split exactly once,
     and each quotient term multiplies its divisor's tail once.
     """
-    if not divisors:
-        raise PreconditionError("need at least one divisor")
     for d in divisors:
         dividend._check(d)
         if d.is_zero:
@@ -289,15 +282,12 @@ def canonicalize(basis: StandardBasis) -> StandardBasis:
     """
     order, first = basis.order, basis.elements[0]
     elements = []
-    rows = []  # each element's quotients over the source basis
     for v in basis.diagram.vertices:
         mono = TruncatedSeries.monomial(
             v, first.ring.one, first.n, first.p, first.trunc, first.ring)
         res = hironaka_divide(order, basis.elements, mono)
         elements.append(mono - res.remainder)
-        rows.append(res.quotients)
-    return StandardBasis(basis.diagram, tuple(elements), order, (basis, tuple(rows)),
-                         canonical=True, new_denominators=basis.new_denominators)
+    return StandardBasis(basis.diagram, tuple(elements), order, None, basis.new_denominators)
 
 
 def residual(

@@ -292,14 +292,12 @@ class DeltaPartition:
     simply the first list entry dividing it.
     """
 
-    __slots__ = ("exps", "n")
+    __slots__ = ("exps",)
 
     def __init__(self, exps: Sequence[ModExponent]):
-        if not exps:
-            raise PreconditionError("delta partition needs at least one exponent")
         self.exps = tuple(exps)
-        self.n = len(self.exps[0].alpha)
-        _check_arity(self.n, *self.exps)
+        if self.exps:
+            _check_arity(len(self.exps[0].alpha), *self.exps)
 
     @property
     def cell_count(self) -> int:

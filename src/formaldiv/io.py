@@ -228,7 +228,7 @@ def load_json(path) -> tuple[str, object]:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
+        raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         return hash_bytes(raw), json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -79,7 +79,7 @@ def syzygy_diagram(partition: DeltaPartition, *, order: SyzygyOrder) -> Diagram:
     for i in range(q):
         for d in partition.box_complement_generators(i):
             exps.append(ModExponent(d, i + 1))
-    return diagram_from_exponents(exps, n=partition.n, p=q, order=order)
+    return diagram_from_exponents(exps, n=order.n, p=q, order=order)
 
 
 class SyzygyBasis(NamedTuple):
@@ -189,9 +189,6 @@ def reduce_relation(h: TruncatedSeries, syz: SyzygyBasis) -> DivisionResult:
         raise NotARelationError(
             "input does not annihilate the basis modulo the truncation degree"
         )
-    if not syz.relations:
-        empty = DivisionResult((), h, None)
-        return empty
     return hironaka_divide(syz.order, syz.relations, h)
 
 

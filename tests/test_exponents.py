@@ -318,9 +318,11 @@ def test_delta_partition_cells_cover_exactly_once():
                     assert cell is None
 
 
-def test_delta_partition_rejects_empty():
-    with pytest.raises(PreconditionError):
-        DeltaPartition([])
+def test_empty_delta_partition_leaves_everything_to_the_remainder():
+    part = DeltaPartition([])
+    assert part.cell_count == 0
+    assert all(part.cell_of(ModExponent(a, k)) is None
+               for a in iter_alphas(2, 4) for k in (1, 2))
 
 
 def test_iter_alphas_counts_and_order():

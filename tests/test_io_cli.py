@@ -692,6 +692,17 @@ def test_unwritable_output_is_a_schema_error(tmp_path, capsys, target, reason):
     assert not leftovers and os.listdir(tmp_path / "folder") == []
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing.json", "No such file or directory"),
+    ("folder", "Is a directory"),
+])
+def test_unreadable_input_names_its_path_once(tmp_path, capsys, target, reason):
+    (tmp_path / "folder").mkdir()
+    module = tmp_path / target
+    assert run("diagram", "--module", str(module)) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read {module}: {reason}\n")
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_output_file_mode_follows_umask(tmp_path, umask):
     out, plain = tmp_path / "result.json", tmp_path / "plain.json"
