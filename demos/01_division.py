@@ -12,7 +12,6 @@ from fractions import Fraction
 from formaldiv import (
     QQ,
     ModExponent,
-    PositiveLinearForm,
     StandardOrder,
     TruncatedSeries,
     hironaka_divide,
@@ -27,7 +26,7 @@ def series(n, p, D, terms):
     )
 
 
-order = StandardOrder(PositiveLinearForm.unit(2))
+order = StandardOrder.unit(2)
 D = 6
 
 phi1 = series(2, 1, D, {((2, 0), 1): 1})            # x^2
@@ -49,7 +48,7 @@ print("  R =", res.remainder)
 print()
 
 # division inverts unit-led series up to the horizon: x / (x - x^2)
-order1 = StandardOrder(PositiveLinearForm.unit(1))
+order1 = StandardOrder.unit(1)
 phi = TruncatedSeries(1, 1, 3, QQ, {
     ModExponent((1,), 1): Fraction(1), ModExponent((2,), 1): Fraction(-1),
 })

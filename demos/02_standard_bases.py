@@ -13,7 +13,6 @@ from fractions import Fraction
 from formaldiv import (
     QQ,
     ModExponent,
-    PositiveLinearForm,
     StandardOrder,
     TruncatedSeries,
     canonicalize,
@@ -30,7 +29,7 @@ def series(n, p, D, terms):
     )
 
 
-order = StandardOrder(PositiveLinearForm.unit(2))
+order = StandardOrder.unit(2)
 D = 6
 
 # x^2 + y^3 and x^2 generate y^3 too; completion finds it
@@ -58,6 +57,6 @@ gens = [
     series(1, 1, 6, {(2,): 1}),
     series(1, 1, 6, {(2,): 1, (3,): 1}),
 ]
-m, subset = minimal_generating_subset(StandardOrder(PositiveLinearForm.unit(1)), gens)
+m, subset = minimal_generating_subset(StandardOrder.unit(1), gens)
 print("of [x^2, x^2 + x^3], a single generator suffices:")
 print("  m =", m, " kept indices:", subset)

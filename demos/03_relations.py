@@ -14,7 +14,6 @@ from fractions import Fraction
 from formaldiv import (
     QQ,
     ModExponent,
-    PositiveLinearForm,
     StandardOrder,
     TruncatedSeries,
     complete_to_standard_basis,
@@ -32,7 +31,7 @@ def series(n, p, D, terms):
     )
 
 
-order = StandardOrder(PositiveLinearForm.unit(2))
+order = StandardOrder.unit(2)
 D = 6
 
 basis = complete_to_standard_basis(order, [

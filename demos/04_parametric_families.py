@@ -14,7 +14,6 @@ from formaldiv import (
     ModExponent,
     ParamModule,
     PolynomialRing,
-    PositiveLinearForm,
     StandardOrder,
     TruncatedSeries,
     generic_diagram,
@@ -24,7 +23,7 @@ from formaldiv import (
 )
 
 ring = PolynomialRing(("t",))
-order = StandardOrder(PositiveLinearForm.unit(1))
+order = StandardOrder.unit(1)
 
 # the family t*x + x^2: generically generated in degree 1, at t = 0 in degree 2
 pivot = ParamModule(
@@ -56,7 +55,7 @@ print()
 
 # relations of a redundant parametrized triple, checked at sample points
 ring2 = PolynomialRing(("t",))
-order2 = StandardOrder(PositiveLinearForm.unit(2))
+order2 = StandardOrder.unit(2)
 triple = ParamModule(
     order=order2,
     generators=(

@@ -31,9 +31,8 @@ _EXPORTS = {
         "complete_to_standard_basis", "hironaka_divide", "is_member",
     ),
     "exponents": (
-        "DeltaPartition", "Diagram", "ModExponent", "Ordering",
-        "PositiveLinearForm", "StandardOrder", "SyzygyOrder",
-        "compare_diagrams", "diagram_from_exponents",
+        "DeltaPartition", "Diagram", "ModExponent", "Ordering", "StandardOrder",
+        "SyzygyOrder", "compare_diagrams", "diagram_from_exponents",
     ),
     "families": (
         "ExceptionalCertificates", "SemicontinuityReport", "generic_diagram",

@@ -10,8 +10,8 @@ provided, both compatible with translation by N^n:
   (alpha, i) by lex(L(alpha) + L(a_i), alpha + a_i, -i) where a_i is a fixed
   multi-index attached to slot i.
 
-Order keys carry L through its integer-scaled form (see PositiveLinearForm),
-so they are tuples of ints and compare without Fraction arithmetic.
+An order is the weights of L.  Its keys carry L in integer-scaled form
+(StandardOrder.scaled): tuples of ints that compare without Fractions.
 """
 
 from __future__ import annotations
@@ -75,13 +75,16 @@ class Ordering(IntEnum):
     GREATER = 1
 
 
-class PositiveLinearForm:
-    """L(alpha) = sum of weights[k] * alpha[k], all weights > 0.
+class StandardOrder:
+    """lex(L(alpha), j, alpha) for L(alpha) = sum of weights[k] * alpha[k],
+    all weights > 0; refines L-degree, then slot, then plain lex.
 
     int_weights are the weights times the lcm of their denominators, so
     scaled(alpha) is L(alpha) times one fixed positive integer: it orders
-    exponents exactly as L does, in plain int arithmetic.  Equality and
-    hashing read the weights only.
+    exponents exactly as L does, in plain int arithmetic.
+
+    A subclass overrides key and _fields, the values that identify it;
+    equality, hashing and repr read _fields, never int_weights.
     """
 
     __slots__ = ("weights", "int_weights")
@@ -95,55 +98,22 @@ class PositiveLinearForm:
         scale = lcm(*(w.denominator for w in self.weights))
         self.int_weights = tuple(int(w * scale) for w in self.weights)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.weights == other.weights
-
-    def __hash__(self):
-        return hash((self.weights,))
-
-    def __repr__(self):
-        return f"PositiveLinearForm(weights={self.weights!r})"
-
     @classmethod
-    def unit(cls, n: int) -> "PositiveLinearForm":
+    def unit(cls, n: int) -> "StandardOrder":
         return cls((Fraction(1),) * n)
+
+    def _fields(self) -> dict:
+        return {"weights": self.weights}
 
     @property
     def n(self) -> int:
         return len(self.weights)
 
-    def __call__(self, alpha: Sequence[int]) -> Fraction:
-        return sum(
-            (w * a for w, a in zip(self.weights, alpha)), start=Fraction(0)
-        )
-
     def scaled(self, alpha: Sequence[int]) -> int:
         return sum(map(mul, self.int_weights, alpha))
 
-
-class StandardOrder:
-    """lex(L(alpha), j, alpha); refines L-degree, then slot, then plain lex.
-
-    A subclass overrides key and _fields, the values that identify it;
-    equality, hashing and repr read _fields.
-    """
-
-    __slots__ = ("form",)
-
-    def __init__(self, form: PositiveLinearForm):
-        self.form = form
-
-    def _fields(self) -> dict:
-        return {"weights": self.form.weights}
-
-    @property
-    def n(self) -> int:
-        return self.form.n
-
     def key(self, e: ModExponent):
-        return (self.form.scaled(e.alpha), e.comp, e.alpha)
+        return (self.scaled(e.alpha), e.comp, e.alpha)
 
     def compare(self, e1: ModExponent, e2: ModExponent) -> Ordering:
         _check_arity(self.n, e1, e2)
@@ -174,16 +144,16 @@ class SyzygyOrder(StandardOrder):
 
     __slots__ = ("slots",)
 
-    def __init__(self, form: PositiveLinearForm, slots: Sequence[ModExponent]):
+    def __init__(self, weights: Sequence[Fraction], slots: Sequence[ModExponent]):
         if not slots:
             raise PreconditionError("need at least one slot exponent")
-        super().__init__(form)
+        super().__init__(weights)
         self.slots = tuple(slots)
-        if any(len(s.alpha) != form.n for s in self.slots):
+        if any(len(s.alpha) != self.n for s in self.slots):
             raise AmbientMismatchError("slot exponent arity differs from form")
 
     def _fields(self) -> dict:
-        return {"weights": self.form.weights, "slots": self.slots}
+        return {"weights": self.weights, "slots": self.slots}
 
     def key(self, e: ModExponent):
         try:
@@ -192,7 +162,7 @@ class SyzygyOrder(StandardOrder):
             raise AmbientMismatchError(
                 f"slot {e.comp} out of range for {len(self.slots)} slots") from None
         a = add_alpha(e.alpha, s.alpha)
-        return (self.form.scaled(a), s.comp, a, -e.comp)
+        return (self.scaled(a), s.comp, a, -e.comp)
 
 
 def _check_arity(n: int, *exps: ModExponent):

@@ -30,8 +30,6 @@ from .exponents import (
     Diagram,
     ModExponent,
     Ordering,
-    PositiveLinearForm,
-    StandardOrder,
     add_alpha,
     compare_diagrams,
     iter_alphas,
@@ -212,15 +210,14 @@ def relation_multiplier_bound(order, generators) -> int:
 
 
 def oracle_relations(
-    generators: Sequence[TruncatedSeries], bound: Optional[int] = None
+    generators: Sequence[TruncatedSeries], bound: int
 ) -> list[TruncatedSeries]:
-    """All relations with polynomial multipliers of bounded degree, found by
-    exact linear algebra over the rationals.
+    """All relations with multipliers of degree <= bound, found by exact
+    linear algebra over the rationals.
 
-    The default bound is trunc minus the largest vertex degree of the
-    generators' completed diagram.  Looser bounds admit near-relations whose
-    defect hides just past the horizon; they are truncation artifacts, not
-    elements of the relation module.
+    Pass relation_multiplier_bound under the module's order.  Looser bounds
+    admit near-relations whose defect hides just past the horizon; they are
+    truncation artifacts, not elements of the relation module.
     """
     from .linalg import kernel_basis
     gens = list(generators)
@@ -230,10 +227,6 @@ def oracle_relations(
     n, trunc, q = first.n, first.trunc, len(gens)
     if first.ring != QQ:
         raise PreconditionError("oracle relations run over rational coefficients")
-    if bound is None:
-        bound = relation_multiplier_bound(
-            StandardOrder(PositiveLinearForm.unit(n)), gens
-        )
     betas = list(iter_alphas(n, bound))
     columns = [(g, beta) for g in gens for beta in betas]
     slots = [ModExponent(beta, i + 1) for i in range(q) for beta in betas]

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import __version__
 from .errors import ExpressionError, PreconditionError, SchemaError
-from .exponents import Diagram, ModExponent, PositiveLinearForm, StandardOrder
+from .exponents import Diagram, ModExponent, StandardOrder
 from .rationals import QQ
 from .series import TruncatedSeries
 
@@ -217,7 +217,7 @@ def load_module_data(data, source="module") -> LoadedModule:
     weights = [_as_fraction(w, f"{source}.weights[{i}]") for i, w in enumerate(weights_raw)]
     for i, w in enumerate(weights):
         _expect(w > 0, f"{source}.weights[{i}]", "weights must be positive")
-    order = StandardOrder(PositiveLinearForm(tuple(weights)))
+    order = StandardOrder(weights)
     return LoadedModule(order, tuple(generators), param_names, tuple(seed), tuple(names))
 
 

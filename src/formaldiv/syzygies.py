@@ -100,7 +100,7 @@ def _relations_core(order, elements: Sequence[TruncatedSeries]):
     ring = elements[0].ring
     exps = [e.initial(order).exponent for e in elements]
     partition = DeltaPartition(exps)
-    syz_order = SyzygyOrder(order.form, exps)
+    syz_order = SyzygyOrder(order.weights, exps)
     ndiag = syzygy_diagram(partition, order=syz_order)
     relations = []
     for v in ndiag.vertices:

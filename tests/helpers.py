@@ -7,14 +7,13 @@ import random
 from formaldiv import (
     QQ,
     ModExponent,
-    PositiveLinearForm,
     StandardOrder,
     TruncatedSeries,
 )
 
 
 def unit_order(n):
-    return StandardOrder(PositiveLinearForm.unit(n))
+    return StandardOrder.unit(n)
 
 
 def ser(n, p, D, terms, ring=QQ):

@@ -458,7 +458,7 @@ def test_criterion_9_cli_contract(tmp_path, monkeypatch):
         mod = fio.parse_module_file(fx(name))
         data = {
             "n": mod.n, "p": mod.p, "D": mod.trunc,
-            "weights": [str(w) for w in mod.order.form.weights],
+            "weights": [str(w) for w in mod.order.weights],
             "parameters": list(mod.param_names),
             "series": [
                 {"name": nm, "terms": fio.series_to_json(mod.series[nm], mod.order)}

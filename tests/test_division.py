@@ -128,9 +128,9 @@ def test_division_contract_under_weighted_orders():
     # the identity and support certificates hold for any admissible order,
     # including weights that make division lower total degree
     rng = random.Random(63)
-    from formaldiv import PositiveLinearForm, StandardOrder
+    from formaldiv import StandardOrder
     for weights in [(1, 2), (3, 1), (2, 5)]:
-        order = StandardOrder(PositiveLinearForm(weights))
+        order = StandardOrder(weights)
         for _ in range(15):
             divisors = [random_series(rng, 2, 1, 6, max_terms=4) for _ in range(2)]
             dividend = random_series(rng, 2, 1, 6, max_terms=6, nonzero=False)

@@ -3,11 +3,11 @@ import random
 import pytest
 from fractions import Fraction
 
+import formaldiv
 from formaldiv import (
     DeltaPartition,
     ModExponent,
     Ordering,
-    PositiveLinearForm,
     StandardOrder,
     SyzygyOrder,
     compare_diagrams,
@@ -42,7 +42,7 @@ def test_compare_degree_beats_component():
 
 
 def test_compare_weighted_form():
-    order = StandardOrder(PositiveLinearForm((Fraction(1), Fraction(2))))
+    order = StandardOrder((Fraction(1), Fraction(2)))
     # L((2,0)) = 2 < L((0,2)) = 4
     assert order.compare(E((2, 0)), E((0, 2))) == Ordering.LESS
 
@@ -56,7 +56,7 @@ def test_compare_arity_mismatch():
 def test_additive_compatibility_both_variants():
     rng = random.Random(11)
     order = unit_order(3)
-    syz = SyzygyOrder(PositiveLinearForm.unit(3), [E((1, 0, 2)), E((0, 1, 0))])
+    syz = SyzygyOrder((1, 1, 1), [E((1, 0, 2)), E((0, 1, 0))])
     for _ in range(200):
         alpha = tuple(rng.randint(0, 4) for _ in range(3))
         beta = tuple(rng.randint(0, 3) for _ in range(3))
@@ -71,39 +71,39 @@ def test_additive_compatibility_both_variants():
 # -- syzygy order -------------------------------------------------------------
 
 def test_syzygy_order_slot_tiebreak():
-    form = PositiveLinearForm.unit(2)
-    order = SyzygyOrder(form, [E((2, 0)), E((0, 2))])
+    order = SyzygyOrder((1, 1), [E((2, 0)), E((0, 2))])
     # keys (2,(2,0),-1) vs (2,(0,2),-2): decided by the middle entry
     assert order.compare(E((0, 0), 1), E((0, 0), 2)) == Ordering.GREATER
 
 
 def test_syzygy_order_reflexive():
-    order = SyzygyOrder(PositiveLinearForm.unit(2), [E((1, 0))])
+    order = SyzygyOrder((1, 1), [E((1, 0))])
     e = E((2, 1), 1)
     assert order.compare(e, e) == Ordering.EQUAL
 
 
 def test_syzygy_order_l_part_decides():
-    order = SyzygyOrder(PositiveLinearForm.unit(2), [E((2, 0)), E((0, 2))])
+    order = SyzygyOrder((1, 1), [E((2, 0)), E((0, 2))])
     assert order.compare(E((1, 0), 1), E((0, 0), 1)) == Ordering.GREATER
 
 
 
 def test_syzygy_order_rejects_a_slot_out_of_range():
-    order = SyzygyOrder(PositiveLinearForm.unit(2), [E((2, 0)), E((0, 2))])
+    order = SyzygyOrder((1, 1), [E((2, 0)), E((0, 2))])
     with pytest.raises(AmbientMismatchError):
         order.compare(E((0, 0), 3), E((0, 0), 1))
 
 
 def test_orders_compare_equal_by_type_and_fields_and_keep_their_reprs():
-    form = PositiveLinearForm((Fraction(1, 2), 1))
+    weights = (Fraction(1, 2), 1)
     slots = [E((2, 0)), E((0, 2), 2)]
-    std, syz = StandardOrder(form), SyzygyOrder(form, slots)
+    std, syz = StandardOrder(weights), SyzygyOrder(weights, slots)
     assert std != syz and syz != std
-    assert std == StandardOrder(PositiveLinearForm((Fraction(1, 2), Fraction(1))))
-    assert hash(std) == hash(StandardOrder(PositiveLinearForm((Fraction(1, 2), 1))))
-    assert syz == SyzygyOrder(form, tuple(slots)) and hash(syz) == hash(SyzygyOrder(form, slots))
-    assert syz != SyzygyOrder(form, slots[:1]) and std != StandardOrder(PositiveLinearForm.unit(2))
+    assert std == StandardOrder((Fraction(1, 2), Fraction(1)))
+    assert hash(std) == hash(StandardOrder([Fraction(1, 2), 1]))
+    assert syz == SyzygyOrder(weights, tuple(slots))
+    assert hash(syz) == hash(SyzygyOrder(weights, slots))
+    assert syz != SyzygyOrder(weights, slots[:1]) and std != StandardOrder.unit(2)
     assert repr(std) == "StandardOrder(weights=(Fraction(1, 2), Fraction(1, 1)))"
     assert repr(syz) == (
         "SyzygyOrder(weights=(Fraction(1, 2), Fraction(1, 1)), slots=(ModExponent("
@@ -223,7 +223,7 @@ def test_compare_diagrams_total_order_laws():
 
 def test_compare_diagrams_requires_matching_order():
     d1 = diagram_from_exponents([E((1, 0))], n=2, p=1, order=unit_order(2))
-    other = StandardOrder(PositiveLinearForm((Fraction(1), Fraction(2))))
+    other = StandardOrder((Fraction(1), Fraction(2)))
     d2 = diagram_from_exponents([E((1, 0))], n=2, p=1, order=other)
     with pytest.raises(AmbientMismatchError):
         compare_diagrams(d1, d2)
@@ -246,9 +246,9 @@ def _pairwise_compare(n1, n2):
 
 def test_compare_diagrams_matches_the_pairwise_reference_under_both_orders():
     rng = random.Random(29)
-    form = PositiveLinearForm((Fraction(1, 3), Fraction(3)))
-    orders = [unit_order(2), StandardOrder(form),
-              SyzygyOrder(form, [E((1, 0)), E((0, 2)), E((1, 1), 2)])]
+    weights = (Fraction(1, 3), Fraction(3))
+    orders = [unit_order(2), StandardOrder(weights),
+              SyzygyOrder(weights, [E((1, 0)), E((0, 2)), E((1, 1), 2)])]
     for order in orders:
         diagrams = []
         for _ in range(15):
@@ -353,11 +353,22 @@ def test_mod_exponent_validates_and_behaves_as_a_value():
     assert repr(e) == "ModExponent(alpha=(1, 2), comp=1)"
 
 
-def test_positive_linear_form_equality_reads_weights_only():
-    f = PositiveLinearForm((Fraction(1, 2), 1))
-    g = PositiveLinearForm((Fraction(1, 2), Fraction(1)))
+def test_order_equality_and_hash_ignore_int_weights():
+    f = StandardOrder((Fraction(1, 2), 1))
+    g = StandardOrder((Fraction(1, 2), Fraction(1)))
     assert f.int_weights == (1, 2)
     g.int_weights = (7, 7)
-    assert f == g and hash(f) == hash(g) == hash((f.weights,))
-    assert f != PositiveLinearForm.unit(2)
-    assert repr(f) == "PositiveLinearForm(weights=(Fraction(1, 2), Fraction(1, 1)))"
+    assert f == g and hash(f) == hash(g)
+    assert f != StandardOrder.unit(2)
+
+
+def test_an_order_is_its_weights():
+    # keys sort exponents as lex(L(alpha), j, alpha) with L = alpha_1 + 2 alpha_2
+    order = StandardOrder((1, 2))
+    exps = [E(alpha, comp) for alpha in iter_alphas(2, 4) for comp in (1, 2)]
+    by_l = sorted(exps, key=lambda e: (e.alpha[0] + 2 * e.alpha[1], e.comp, e.alpha))
+    assert sorted(exps, key=order.key) == by_l
+    assert StandardOrder.unit(2) == StandardOrder([1, 1])
+    assert hash(StandardOrder.unit(2)) == hash(StandardOrder([1, 1]))
+    assert SyzygyOrder((1, 2), [E((1, 0)), E((0, 1))]).weights == (Fraction(1), Fraction(2))
+    assert "PositiveLinearForm" not in formaldiv.__all__

@@ -51,7 +51,7 @@ def test_parse_minimal_module():
 
 def test_parse_weighted_module():
     mod = io.parse_module_file(fx("module_weighted.json"))
-    assert mod.order.form.weights == (Fraction(1), Fraction(2))
+    assert mod.order.weights == (Fraction(1), Fraction(2))
     # L((2,0)) = 2 < L((0,1)) = 2? equal; lex picks (0,1)
     init = mod.series["Phi"].initial(mod.order)
     assert init.exponent == ModExponent((0, 1), 1)
@@ -84,7 +84,7 @@ def test_module_round_trip_through_serialization():
         mod = io.parse_module_file(fx(name))
         data = {
             "n": mod.n, "p": mod.p, "D": mod.trunc,
-            "weights": [str(w) for w in mod.order.form.weights],
+            "weights": [str(w) for w in mod.order.weights],
             "parameters": list(mod.param_names),
             "series": [
                 {"name": nm, "terms": io.series_to_json(mod.series[nm], mod.order)}

@@ -1,7 +1,9 @@
 """Smoke tests for the code outside the library that calls it: the demo
-scripts and the benchmark's workloads and output checkers."""
+scripts, the README's code, and the benchmark's workloads and output
+checkers."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,16 +19,29 @@ import checks  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
-def test_demo_runs(demo):
+def run_with_src(*args):
+    """Run a fresh interpreter on args with the package source on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo):
+    run_with_src(str(demo))
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.M | re.S)
+    assert blocks
+    for code in blocks:
+        run_with_src("-c", code)
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.SLOTS))

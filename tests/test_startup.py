@@ -91,12 +91,12 @@ def test_rational_divide_loads_a_bounded_amount_of_source(tmp_path):
         "cli", "io", "errors", "rationals", "exponents", "series", "division",
     }
     assert source_lines(names) <= RATIONAL_DIVIDE_LINE_BUDGET
-    # what it loaded once canonical bases stopped keeping provenance and an
-    # empty divisor list became a division (1,697 once completion and
-    # canonicalize stopped re-collecting denominators, 1,698 once
-    # exponents.sub_alpha became total, 1,703 when cli became the only
-    # command-line reader)
-    assert source_lines(names) <= 1685
+    # what it loaded once an order became its weights (1,685 once canonical
+    # bases stopped keeping provenance and an empty divisor list became a
+    # division, 1,697 once completion and canonicalize stopped re-collecting
+    # denominators, 1,698 once exponents.sub_alpha became total, 1,703 when
+    # cli became the only command-line reader)
+    assert source_lines(names) <= 1654
 
 
 @pytest.mark.parametrize("code, argv", [
@@ -141,13 +141,13 @@ def test_relations_loads_syzygies_but_not_families(tmp_path):
     assert not mods & {"coefficients", "families", "linalg"}
     if NO_HASHLIB:
         assert "hashlib" not in names
-    # what it loaded once canonical bases stopped keeping provenance and an
-    # empty divisor list became a division (2,220 once completion and
-    # canonicalize stopped re-collecting denominators, 2,221 once
-    # exponents.sub_alpha became total, 2,226 once the determinant and
-    # adjugate became Berkowitz's, 2,227 when cli became the only
-    # command-line reader)
-    assert source_lines(names) <= 2205
+    # what it loaded once an order became its weights (2,205 once canonical
+    # bases stopped keeping provenance and an empty divisor list became a
+    # division, 2,220 once completion and canonicalize stopped re-collecting
+    # denominators, 2,221 once exponents.sub_alpha became total, 2,226 once
+    # the determinant and adjugate became Berkowitz's, 2,227 when cli became
+    # the only command-line reader)
+    assert source_lines(names) <= 2174
 
 
 def test_parametric_divide_loads_coefficients(tmp_path):
@@ -172,7 +172,7 @@ def test_parametric_call_loads_no_family_code(tmp_path, command):
 # -- package namespace ---------------------------------------------------------
 
 def test_public_names_are_the_submodule_objects():
-    assert len(formaldiv.__all__) == 43
+    assert len(formaldiv.__all__) == 42
     assert not set(formaldiv.__all__) & SUBMODULES
     for name in formaldiv.__all__:
         module = import_module(f"formaldiv.{formaldiv._MODULE_OF[name]}")

@@ -12,7 +12,6 @@ from formaldiv import (
     QQ,
     DeltaPartition,
     ModExponent,
-    PositiveLinearForm,
     StandardOrder,
     SyzygyOrder,
     TruncatedSeries,
@@ -49,7 +48,7 @@ def test_syzygy_diagram_two_squares():
     basis = two_squares_basis()
     exps = [e.initial(basis.order).exponent for e in basis.elements]
     part = DeltaPartition(exps)
-    sorder = SyzygyOrder(basis.order.form, exps)
+    sorder = SyzygyOrder(basis.order.weights, exps)
     diag = syzygy_diagram(part, order=sorder)
     # one crossing: the later vertex shifted by the earlier one
     assert len(diag.vertices) == 1
@@ -60,14 +59,14 @@ def test_syzygy_diagram_two_squares():
 def test_syzygy_diagram_single_divisor_is_empty():
     exps = [ModExponent((1, 2), 1)]
     part = DeltaPartition(exps)
-    diag = syzygy_diagram(part, order=SyzygyOrder(unit_order(2).form, exps))
+    diag = syzygy_diagram(part, order=SyzygyOrder((1, 1), exps))
     assert diag.is_empty
 
 
 def test_syzygy_diagram_duplicate_exponent():
     exps = [ModExponent((1, 0), 1), ModExponent((1, 0), 1)]
     part = DeltaPartition(exps)
-    diag = syzygy_diagram(part, order=SyzygyOrder(unit_order(2).form, exps))
+    diag = syzygy_diagram(part, order=SyzygyOrder((1, 1), exps))
     assert diag.vertices == (ModExponent((0, 0), 2),)
 
 
@@ -80,7 +79,7 @@ def test_syzygy_diagram_law_enumerated():
                 ModExponent((rng.randint(0, 3), rng.randint(0, 3)), rng.randint(1, 2))
             )
         part = DeltaPartition(exps)
-        diag = syzygy_diagram(part, order=SyzygyOrder(unit_order(2).form, exps))
+        diag = syzygy_diagram(part, order=SyzygyOrder((1, 1), exps))
         for i in range(len(exps)):
             for gamma in iter_alphas(2, 6):
                 assert diag.contains(ModExponent(gamma, i + 1)) == (
@@ -219,7 +218,7 @@ def test_weighted_relation_reduces_to_inert_terms():
     # and the syzygy diagram only [((2, 0), 2)], yet h = y^2*e1 + y*e2 is a
     # relation (y^2*phi - y^3 = x^2*y^2 lies past the horizon) whose
     # remainder keeps x^(0,2)@1 + x^(0,1)@2 active
-    order = StandardOrder(PositiveLinearForm((Fraction(1, 3), Fraction(3))))
+    order = StandardOrder((Fraction(1, 3), Fraction(3)))
     basis = complete_to_standard_basis(order, [ser(2, 1, 3, {(2, 0): 1, (0, 1): 1})])
     h = ser(2, 2, 3, {((0, 2), 1): 1, ((0, 1), 2): 1})
     rem = reduce_relation(h, standard_relations(basis)).remainder  # checks h is a relation
@@ -355,7 +354,7 @@ def test_presentation_two_component_module():
 def test_presentation_under_weights_that_truncation_restarts():
     # weights 1/3 and 3 put x^2 before y; the basis vertex (0,2)@1 comes from
     # a multiple that truncation strips of its initial term
-    order = StandardOrder(PositiveLinearForm((Fraction(1, 3), Fraction(3))))
+    order = StandardOrder((Fraction(1, 3), Fraction(3)))
     g1 = ser(2, 2, 3, {((0, 1), 1): Fraction(-3, 2), ((2, 0), 1): Fraction(7, 3), ((1, 0), 2): -1})
     g2 = ser(2, 2, 3, {((1, 0), 1): 1, ((0, 0), 2): 4, ((1, 0), 2): Fraction(-5, 4)})
     pres = relations_of_generators(order, [g1, g2])
