@@ -12,11 +12,10 @@ is making denominator generators monic in their leading coefficient.
 
 Values of every ring share one protocol: ``+``, ``-`` (binary and unary),
 ``*`` and ``==`` within one ring, and truthiness, which is false exactly for
-zero.  Parametric values also evaluate themselves at a rational parameter
-point (``c.evaluate(point)``).  A ring object (``QQ``, ``PolynomialRing``,
-``LocalizedRing``) supplies only what values cannot: ``zero`` and ``one``,
-the constructor ``from_int`` (plus ``variable`` on ``PolynomialRing`` and
-``from_poly`` on ``LocalizedRing``) and ``divide_by_unit``.
+zero; parametric values also evaluate at a rational point (``c.evaluate``).
+A ring object (``QQ``, ``PolynomialRing(names)``, ``LocalizedRing(dset)``)
+supplies only what values cannot: ``zero``, ``one``, ``from_int``,
+``variable`` (polynomial), ``from_poly`` (localized) and ``divide_by_unit``.
 
 The expression parser builds ``ParamPolynomial`` values only; without
 parameter names it returns the constant's ``Fraction``.
@@ -227,10 +226,6 @@ class DenominatorSet:
         for g in seed:
             self.register(g)
 
-    def _normalize(self, p: ParamPolynomial) -> ParamPolynomial:
-        _, lc = p.leading()
-        return p.scale(1 / lc)
-
     def register(self, p: ParamPolynomial) -> Optional[ParamPolynomial]:
         """Record p as invertible; returns the new generator, or None if p
         was already a unit (constant or product of known generators)."""
@@ -238,7 +233,7 @@ class DenominatorSet:
             raise PreconditionError("cannot invert the zero polynomial")
         if p.is_constant:
             return None
-        p = self._normalize(p)
+        p = p.scale(1 / p.leading()[1])  # stored monic
         if self.factor_as_unit(p) is not None:
             return None
         self.generators.append(p)
@@ -334,9 +329,6 @@ class LocalizedFraction:
         _, num_self, num_other = self._common(other)
         return num_self == num_other
 
-    def __hash__(self):
-        raise TypeError("localized fractions are not hashable")
-
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         den = Fraction(1)
         memo, point = self.dset._value_memo, tuple(point)
@@ -410,22 +402,15 @@ class PolynomialRing(_ValueWork):
 
 
 class LocalizedRing(_ValueWork):
-    """The polynomial ring localized at a growing denominator set."""
+    """The polynomial ring localized at a growing denominator set, all it holds."""
 
-    def __init__(self, base: PolynomialRing, dset: DenominatorSet):
-        if base.names != dset.names:
-            raise RingMismatchError("denominator set over different parameters")
-        self.base = base
+    def __init__(self, dset: DenominatorSet):
         self.dset = dset
-        self.zero = LocalizedFraction(base.zero, {}, dset)
-        self.one = LocalizedFraction(base.one, {}, dset)
-
-    @property
-    def names(self):
-        return self.base.names
+        self.names = dset.names
+        self.zero, self.one = self.from_int(0), self.from_int(1)
 
     def from_int(self, k: int) -> LocalizedFraction:
-        return LocalizedFraction(self.base.from_int(k), {}, self.dset)
+        return LocalizedFraction(ParamPolynomial.constant(self.names, k), {}, self.dset)
 
     def from_poly(self, p: ParamPolynomial) -> LocalizedFraction:
         return LocalizedFraction(p, {}, self.dset)
@@ -600,7 +585,10 @@ def parse_coefficient(text: str, names: Sequence[str] = ()) -> Coefficient:
     without, its constant value, a Fraction.
     """
     names = tuple(names)
-    value = _ExprParser(text, names).parse()
+    try:
+        value = _ExprParser(text, names).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
     return value if names else value.constant_value()
 
 

@@ -95,7 +95,7 @@ def _replay_completion(first, q, steps, index):
         # r = x^gamma * work[i] - sum_j Q_j * work[j]
         nonzero = [j for j, qj in enumerate(quotients) if not qj.is_zero]
         (row,) = _matmul([[-quotients[j] for j in nonzero]], [prov[j] for j in nonzero],
-                         start=[[p_s.mul_monomial(ring.one, gamma) for p_s in prov[i]]])
+                         start=[[p_s.mul_monomial(gamma) for p_s in prov[i]]])
         prov.append(tuple(row))
     return tuple(prov[k] for k in index)
 
@@ -253,7 +253,7 @@ def complete_to_standard_basis(
     while cursor < len(pending) and not (target and target.issubset(exps)):
         gamma, i = pending[cursor]
         cursor += 1
-        test = work[i].mul_monomial(ring.one, gamma)
+        test = work[i].mul_monomial(gamma)
         if test.is_zero:
             continue
         res = hironaka_divide(order, work, test)

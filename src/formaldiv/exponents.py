@@ -194,10 +194,6 @@ class Diagram:
         self.vertices = tuple(sorted(vertices, key=order.key))
         self.order = order
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def contains(self, e: ModExponent) -> bool:
         return any(v.divides(e) for v in self.vertices)
 

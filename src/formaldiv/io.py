@@ -90,10 +90,8 @@ class ParamModule(LoadedModule):
 
     def localized(self) -> tuple[LocalizedRing, list[TruncatedSeries]]:
         """Fresh localized ring plus the generators lifted into it."""
-        from .coefficients import DenominatorSet, LocalizedRing, PolynomialRing
-        base = PolynomialRing(self.param_names)
-        dset = DenominatorSet(self.param_names, seed=self.denominator_seed)
-        ring = LocalizedRing(base, dset)
+        from .coefficients import DenominatorSet, LocalizedRing
+        ring = LocalizedRing(DenominatorSet(self.param_names, seed=self.denominator_seed))
         if isinstance(self.generators[0].ring, LocalizedRing):
             raise PreconditionError(
                 "family generators must carry polynomial coefficients; "
@@ -233,6 +231,8 @@ def load_json(path) -> tuple[str, object]:
         return hash_bytes(raw), json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def parse_module_file(path) -> LoadedModule:

@@ -98,15 +98,6 @@ class TruncatedSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "TruncatedSeries":
-        ring = self.ring
-        if not c:
-            return TruncatedSeries.zero(self.n, self.p, self.trunc, ring)
-        return TruncatedSeries(
-            self.n, self.p, self.trunc, ring,
-            {e: c * v for e, v in self.terms.items()},
-        )
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -115,22 +106,13 @@ class TruncatedSeries:
             return False
         return all(c == other.terms[e] for e, c in self.terms.items())
 
-    def __hash__(self):
-        raise TypeError("truncated series are not hashable")
-
     # -- multiplicative structure ------------------------------------------
-    def mul_monomial(self, coeff, beta: Sequence[int]) -> "TruncatedSeries":
-        """Multiply by coeff * x^beta, discarding terms past the horizon."""
-        ring = self.ring
-        out = {}
+    def mul_monomial(self, beta: Sequence[int]) -> "TruncatedSeries":
+        """Multiply by x^beta, discarding terms past the horizon."""
         beta = ModExponent(tuple(beta)).alpha  # validated once: shift does not
-        if not coeff:
-            return TruncatedSeries.zero(self.n, self.p, self.trunc, ring)
-        for e, c in self.terms.items():
-            if e.degree + sum(beta) > self.trunc:
-                continue
-            out[e.shift(beta)] = coeff * c
-        return TruncatedSeries(self.n, self.p, self.trunc, ring, out)
+        top = self.trunc - sum(beta)  # shifted terms keep their (immutable) coefficients
+        out = {e.shift(beta): c for e, c in self.terms.items() if e.degree <= top}
+        return TruncatedSeries(self.n, self.p, self.trunc, self.ring, out)
 
     def mul_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Module action of a one-component series on a p-component one."""
@@ -169,13 +151,6 @@ class TruncatedSeries:
             ModExponent(e.alpha, 1): c for e, c in self.terms.items() if e.comp == j
         }
         return TruncatedSeries(self.n, 1, self.trunc, self.ring, out)
-
-    def embed(self, j: int, p: int) -> "TruncatedSeries":
-        """Place a one-component series into slot j of a p-slot vector."""
-        if self.p != 1:
-            raise PreconditionError("only one-component series can be embedded")
-        out = {ModExponent(e.alpha, j): c for e, c in self.terms.items()}
-        return TruncatedSeries(self.n, p, self.trunc, self.ring, out)
 
     def partial(self, k: int) -> "TruncatedSeries":
         """Formal partial derivative along axis k (1-based).

@@ -105,7 +105,7 @@ def _relations_core(order, elements: Sequence[TruncatedSeries]):
     relations = []
     for v in ndiag.vertices:
         gamma, slot = v.alpha, v.comp
-        test = elements[slot - 1].mul_monomial(ring.one, gamma)
+        test = elements[slot - 1].mul_monomial(gamma)
         res = hironaka_divide(order, elements, test)
         if not res.remainder.is_zero:
             raise IncompleteBasisError(

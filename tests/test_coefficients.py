@@ -30,9 +30,7 @@ def poly(text, names=XI):
 
 
 def loc_ring(*dens, names=XI):
-    base = PolynomialRing(names)
-    dset = DenominatorSet(names, seed=[poly(d, names) for d in dens])
-    return LocalizedRing(base, dset)
+    return LocalizedRing(DenominatorSet(names, seed=[poly(d, names) for d in dens]))
 
 
 # -- plain ring operations ----------------------------------------------------

@@ -128,7 +128,7 @@ def test_diagram_absorbs_multiples():
 
 def test_diagram_empty():
     d = diagram_from_exponents([], n=2, p=1, order=unit_order(2))
-    assert d.is_empty and not d.contains(E((0, 0)))
+    assert not d.vertices and not d.contains(E((0, 0)))
 
 
 def test_diagram_origin_covers_component():

@@ -540,6 +540,26 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, code, message, argv):
     assert out == "" and message in err and err.count("\n") == 1
 
 
+DEEP_BRACKETS = "[" * 100_000 + "]" * 100_000
+DEEP_COEFF = json.dumps({"n": 1, "p": 1, "D": 2, "series": [{"terms": [
+    {"exponent": [1], "coeff": "(" * 10_000 + "1" + ")" * 10_000}]}]})
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("diagram", "--module", "FILE"), DEEP_BRACKETS, ": invalid JSON: nested too deeply"),
+    (("semicont-scan", "--module", fx("family_pivot.json"), "--points", "FILE"),
+     DEEP_BRACKETS, ": invalid JSON: nested too deeply"),
+    (("diagram", "--module", "FILE"), DEEP_COEFF,
+     ".series[0].terms[0].coeff: expression nested too deeply"),
+], ids=["module", "points", "coeff"])
+def test_deeply_nested_input_is_a_schema_error(tmp_path, capsys, argv, text, message):
+    # the JSON decoder and the expression parser recurse once per level
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert run(*(str(path) if arg == "FILE" else arg for arg in argv)) == 2
+    assert capsys.readouterr() == ("", f"error: {path}{message}\n")
+
+
 def test_integer_coeff_reads_as_its_decimal_string(tmp_path):
     base = json.loads((FIXTURES / "module_weighted.json").read_text())
     payloads = []

@@ -18,10 +18,10 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from formaldiv import (
     QQ,
     DenominatorSet,
+    LocalizedFraction,
     LocalizedRing,
     ModExponent,
     ParamPolynomial,
-    PolynomialRing,
     Ordering,
     StandardOrder,
     TruncatedSeries,
@@ -162,13 +162,33 @@ param_coeff_st = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
     lambda cs: ParamPolynomial(("t",), {(k,): c for k, c in enumerate(cs)}))
 
 
+@PROPS
+@given(ambients(), st.booleans(), st.data())
+def test_mul_monomial_is_the_product_by_the_monomial(amb, localized, data):
+    """Shifting a p-slot series by beta, |beta| <= D, prints as multiplying
+    it by the one-slot monomial x^beta, over QQ and over QQ[t] localized at
+    t + 1 (with the fractions' denominators kept)."""
+    n, p, trunc, order = amb
+    ring, coeff = QQ, coeff_st
+    if localized:
+        ring = LocalizedRing(DenominatorSet(("t",), seed=[parse_coefficient("t + 1", ("t",))]))
+        coeff = st.builds(LocalizedFraction, param_coeff_st, st.builds(
+            lambda k: {0: k}, st.integers(0, 2)), st.just(ring.dset))
+    terms = data.draw(st.dictionaries(exponents(n, p, trunc), coeff, max_size=6))
+    s = TruncatedSeries(n, p, trunc, ring, terms)
+    beta = data.draw(exponents(n, 1, trunc)).alpha
+    monomial = TruncatedSeries.monomial(ModExponent(beta, 1), ring.one, n, 1, trunc, ring)
+    assert (io.series_to_json(s.mul_monomial(beta), order)
+            == io.series_to_json(monomial.mul_series(s), order))
+
+
 @st.composite
 def family_division_instances(draw):
     """Divisors and a dividend with coefficients in QQ[t], lifted to the
     ring localized at the divisors' initial coefficients."""
     n, p, trunc = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(2, 4))
     order = StandardOrder([draw(weights_st) for _ in range(n)])
-    ring = LocalizedRing(PolynomialRing(("t",)), DenominatorSet(("t",)))
+    ring = LocalizedRing(DenominatorSet(("t",)))
 
     def draw_series(min_size, max_size):
         terms = draw(st.dictionaries(exponents(n, p, trunc), param_coeff_st,
@@ -446,7 +466,7 @@ def spanning_instances(draw):
     gens = []
     for _ in range(draw(st.integers(2, 3))):
         shift = draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]))
-        g = draw(series(2, 1, trunc, 4)).mul_monomial(QQ.one, shift)
+        g = draw(series(2, 1, trunc, 4)).mul_monomial(shift)
         assume(not g.is_zero)
         gens.append(g)
     try:
@@ -539,7 +559,7 @@ def test_greedy_subset_matches_the_full_pass_on_relation_vectors(inst, data):
     assume(syz.relations)
     rels = list(syz.relations)
     shift = data.draw(st.lists(st.integers(0, 1), min_size=order.n, max_size=order.n))
-    pool = rels + [rels[-1].mul_monomial(QQ.one, shift), rels[0] + rels[-1]]
+    pool = rels + [rels[-1].mul_monomial(shift), rels[0] + rels[-1]]
     pool = [r for r in pool if not r.is_zero]
     full = complete_to_standard_basis(syz.order, pool).diagram
     _assert_greedy_matches_the_full_pass(syz.order, pool, full)
