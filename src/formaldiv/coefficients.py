@@ -57,10 +57,8 @@ class ParamPolynomial:
                     f"expected {len(self.names)}"
                 )
             c = Fraction(c)
-            if c:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-                if not clean[exp]:
-                    del clean[exp]
+            if c:  # a dict: no two terms share an exponent
+                clean[exp] = c
         self.terms = clean
 
     @classmethod
@@ -214,7 +212,8 @@ class DenominatorSet:
     stored.  The set grows append-only, so fractions referring to generator
     indices stay valid as new generators are recorded.  A unit search makes
     at most one exact division per generator and distinct quotient: k * 2^k
-    for a non-unit that k pairwise coprime generators divide.
+    for a non-unit that k pairwise coprime generators divide.  Unit searches
+    and power products are memoized; values at a point are never cached.
     """
 
     def __init__(self, names, seed=()):
@@ -222,7 +221,6 @@ class DenominatorSet:
         self.generators: list[ParamPolynomial] = []
         self._factor_memo: dict = {}
         self._power_memo: dict = {}
-        self._value_memo: dict = {}  # (index, point) -> generator value
         for g in seed:
             self.register(g)
 
@@ -330,17 +328,14 @@ class LocalizedFraction:
         return num_self == num_other
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        """The value at a rational point; it evaluates its generators itself."""
         den = Fraction(1)
-        memo, point = self.dset._value_memo, tuple(point)
         for i, k in self.powers.items():
-            v = memo.get((i, point))
-            if v is None:  # each generator is evaluated once per point
-                v = memo[i, point] = self.dset.generators[i].evaluate(point)
+            g = self.dset.generators[i]
+            v = g.evaluate(point)
             if not v:
                 raise VanishingDenominatorError(
-                    f"denominator {self.dset.generators[i]} vanishes at "
-                    f"({', '.join(map(str, point))})"
-                )
+                    f"denominator {g} vanishes at ({', '.join(map(str, point))})")
             den *= v ** k
         return self.num.evaluate(point) / den
 
@@ -394,9 +389,6 @@ class PolynomialRing(_ValueWork):
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and self.names == other.names
 
-    def __hash__(self):
-        return hash(("polyring", self.names))
-
     def __repr__(self):
         return f"QQ[{', '.join(self.names)}]"
 
@@ -441,9 +433,6 @@ class LocalizedRing(_ValueWork):
     def __eq__(self, other):
         return isinstance(other, LocalizedRing) and self.dset is other.dset
 
-    def __hash__(self):
-        return hash(("locring", id(self.dset)))
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.dset.generators)
         return f"QQ[{', '.join(self.names)}] localized at [{gens}]"
@@ -461,27 +450,18 @@ class LocalizedRing(_ValueWork):
 # '/' requires a constant, nonzero divisor; '^' a literal nonnegative integer.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<op>[()+\-*/^])|(?P<bad>\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ExpressionError(f"unexpected character {stripped[0]!r}", at)
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):  # only trailing whitespace matches nothing
+        kind = m.lastgroup
+        tok, at = m[kind], m.start(kind)
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {tok!r}", at)
+        tokens.append((kind, int(tok) if kind == "int" else tok, at))
     tokens.append(("end", None, len(text)))
     return tokens
 

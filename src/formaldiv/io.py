@@ -257,7 +257,7 @@ def coeff_to_json(c):
 def series_to_json(s: TruncatedSeries, order) -> list:
     return [
         {"component": e.comp, "exponent": list(e.alpha), "coeff": coeff_to_json(c)}
-        for e, c in s.sorted_terms(order)
+        for e, c in sorted(s.terms.items(), key=lambda item: order.key(item[0]))
     ]
 
 

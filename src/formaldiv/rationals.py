@@ -55,9 +55,6 @@ class RationalField:
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
-    def __hash__(self):
-        return hash("QQ")
-
     def __repr__(self):
         return "QQ"
 

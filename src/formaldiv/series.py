@@ -64,9 +64,6 @@ class TruncatedSeries:
     def coefficient(self, e: ModExponent):
         return self.terms.get(e, self.ring.zero)
 
-    def sorted_terms(self, order):
-        return sorted(self.terms.items(), key=lambda item: order.key(item[0]))
-
     def _check(self, other: "TruncatedSeries"):
         if (self.n, self.p, self.trunc) != (other.n, other.p, other.trunc):
             raise AmbientMismatchError(
@@ -110,6 +107,8 @@ class TruncatedSeries:
     def mul_monomial(self, beta: Sequence[int]) -> "TruncatedSeries":
         """Multiply by x^beta, discarding terms past the horizon."""
         beta = ModExponent(tuple(beta)).alpha  # validated once: shift does not
+        if len(beta) != self.n:
+            raise AmbientMismatchError(f"multi-index {beta} not of arity {self.n}")
         top = self.trunc - sum(beta)  # shifted terms keep their (immutable) coefficients
         out = {e.shift(beta): c for e, c in self.terms.items() if e.degree <= top}
         return TruncatedSeries(self.n, self.p, self.trunc, self.ring, out)

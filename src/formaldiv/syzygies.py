@@ -58,7 +58,6 @@ from .exponents import (
     Diagram,
     ModExponent,
     SyzygyOrder,
-    diagram_from_exponents,
 )
 from .rationals import QQ
 from .series import TruncatedSeries, _dot
@@ -71,15 +70,13 @@ def syzygy_diagram(partition: DeltaPartition, *, order: SyzygyOrder) -> Diagram:
     """Diagram of the relation module read off the division cells.
 
     Slot i holds exactly the shifts of the i-th divisor exponent that escape
-    into an earlier cell; its generating multi-indices come straight from the
-    partition.
+    into an earlier cell.  The partition gives them distinct and minimal in
+    each slot, and slots never divide each other, so they are the vertices.
     """
     q = partition.cell_count
-    exps = []
-    for i in range(q):
-        for d in partition.box_complement_generators(i):
-            exps.append(ModExponent(d, i + 1))
-    return diagram_from_exponents(exps, n=order.n, p=q, order=order)
+    exps = [ModExponent(d, i + 1)
+            for i in range(q) for d in partition.box_complement_generators(i)]
+    return Diagram(order.n, q, exps, order)
 
 
 class SyzygyBasis(NamedTuple):

@@ -39,6 +39,15 @@ def test_rational_addition():
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
 
+def test_rings_compare_with_eq_and_cannot_be_hashed():
+    dset = DenominatorSet(XI)
+    assert PolynomialRing(XI) == PolynomialRing(XI) != PolynomialRing(ABC)
+    assert LocalizedRing(dset) == LocalizedRing(dset) != LocalizedRing(DenominatorSet(XI))
+    for ring in (QQ, PolynomialRing(XI), LocalizedRing(dset)):
+        with pytest.raises(TypeError):
+            hash(ring)
+
+
 def test_localized_cancellation_identity():
     ring = loc_ring("xi1")
     xi = ring.from_poly(poly("xi1"))

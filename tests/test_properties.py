@@ -6,6 +6,7 @@ oracle, and the greedy minimal-subset pass and the completions it stops
 early against a copy of the full pass."""
 
 import ast
+import re
 from datetime import timedelta
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -13,6 +14,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from unittest import mock
+
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from formaldiv import (
@@ -31,12 +34,18 @@ from formaldiv import (
     parse_coefficient,
     standard_relations,
 )
+from formaldiv import coefficients
 from formaldiv.division import residual
 from formaldiv.errors import DegenerateFamilyError, ExpressionError, SchemaError
-from formaldiv.exponents import SyzygyOrder, add_alpha
+from formaldiv.exponents import DeltaPartition, SyzygyOrder, add_alpha, diagram_from_exponents
 from formaldiv.families import _all_spanned, oracle_relations, relation_multiplier_bound
 from formaldiv.linalg import kernel_basis, rref
-from formaldiv.syzygies import _greedy_subset, relation_defect, relations_of_generators
+from formaldiv.syzygies import (
+    _greedy_subset,
+    relation_defect,
+    relations_of_generators,
+    syzygy_diagram,
+)
 
 import oracle
 
@@ -362,6 +371,91 @@ def test_rational_expressions_parse_to_their_value(tree):
     got = parse_coefficient(text)
     assert type(got) is Fraction and got == expected, text
     assert parse_coefficient(text, ("t",)) == ParamPolynomial.constant(("t",), expected)
+
+
+# The cursor tokenizer that the one-pass coefficients._tokenize replaced, kept
+# as the reference: it matched one token at a time and located a stray
+# character by stripping the rest of the text.
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+
+
+def _reference_tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise ExpressionError(f"unexpected character {stripped[0]!r}", at)
+        if m.group(1) is not None:
+            tokens.append(("int", int(m.group(1)), m.start(1)))
+        elif m.group(2) is not None:
+            tokens.append(("name", m.group(2), m.start(2)))
+        else:
+            tokens.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ExpressionError as exc:
+        return f"ExpressionError: {exc}"
+
+
+token_text = st.lists(st.sampled_from(
+    ["0", "1", "2", "7", "10", "\u0663",  # digits, one of them Arabic-Indic
+     "t", "s", "x", "_", "t2",  # names and the characters that extend them
+     "(", ")", "+", "-", "*", "/", "^",
+     " ", "\t", "\n", "\x1c", "\u00a0", "\u2003",  # whitespace to str and re
+     ".", "#", "\u00e9", "\u00b2", "\u200b"]),  # stray: not one of the above
+    max_size=10).map("".join)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5), database=None)
+@given(token_text)
+@example("")
+@example(" \u2003\n")
+@example("t \u00a0")
+@example("3 \u200b")
+@example("\x1c\u00b2")
+@example("\u0663\u0663^2")
+def test_tokenizer_matches_the_cursor_reference(text):
+    """The one-pass tokenizer gives the reference's tokens and positions, or
+    its error, and the parser over (t, s) the same value or error."""
+    expected = _outcome(_reference_tokenize, text)
+    assert _outcome(coefficients._tokenize, text) == expected
+    if isinstance(expected, str):
+        return
+    # an exponent is a literal int: a large one only measures big-int powers
+    assume(not any(a[1] == "^" and b[0] == "int" and b[1] > 20
+                   for a, b in zip(expected, expected[1:])))
+    got = _outcome(parse_coefficient, text, ("t", "s"))
+    with mock.patch.object(coefficients, "_tokenize", _reference_tokenize):
+        assert got == _outcome(parse_coefficient, text, ("t", "s"))
+
+
+@PROPS
+@given(st.data())
+def test_syzygy_diagram_is_the_diagram_of_its_exponents(data):
+    """The partition's box generators are already the vertices, so building
+    the Diagram from them directly drops nothing the minimal filter would."""
+    n = data.draw(st.integers(1, 3), label="n")
+    p = data.draw(st.integers(1, 2), label="p")
+    exps = data.draw(st.lists(exponents(n, p, 4), min_size=1, max_size=7), label="exps")
+    weights = [data.draw(weights_st, label="weight") for _ in range(n)]
+    partition = DeltaPartition(exps)
+    order = SyzygyOrder(weights, exps)
+    got = syzygy_diagram(partition, order=order)
+    vertex_exps = [ModExponent(d, i + 1) for i in range(len(exps))
+                   for d in partition.box_complement_generators(i)]
+    expected = diagram_from_exponents(vertex_exps, n=n, p=len(exps), order=order)
+    assert got == expected and got.vertices == expected.vertices
 
 
 # -- sparse linear algebra -------------------------------------------------------

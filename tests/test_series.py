@@ -85,6 +85,16 @@ def test_mul_monomial_refuses_a_negative_multi_index():
         ser(2, 1, 4, {(3, 1): 1, (2, 0): 1}).mul_monomial((-1, 0))
 
 
+@pytest.mark.parametrize("beta", [(0, 0, 5), (1, 0, 1), (1,), (0, 0, 0)])
+def test_mul_monomial_refuses_a_multi_index_of_another_arity(beta):
+    # shift zips beta with each exponent, so a longer beta lost its extra
+    # entries while the horizon still counted them: x1 * x^(0, 0, 5) was 0
+    with pytest.raises(AmbientMismatchError):
+        ser(2, 1, 4, {(1, 0): 1}).mul_monomial(beta)
+    with pytest.raises(AmbientMismatchError):
+        ser(2, 1, 4, {}).mul_monomial(beta)
+
+
 def test_initial_data_zero_series():
     with pytest.raises(PreconditionError):
         ser(1, 1, 3, {}).initial(unit_order(1))

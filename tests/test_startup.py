@@ -91,14 +91,16 @@ def test_rational_divide_loads_a_bounded_amount_of_source(tmp_path):
         "cli", "io", "errors", "rationals", "exponents", "series", "division",
     }
     assert source_lines(names) <= RATIONAL_DIVIDE_LINE_BUDGET
-    # what it loaded once mul_monomial lost its coefficient and the series
-    # methods only tests read were deleted (1,654 once an order became its
+    # what it loaded once the ring hashes were deleted, io sorted a series'
+    # terms itself and mul_monomial checked the arity of beta (1,625 once
+    # mul_monomial lost its coefficient and the series methods only tests
+    # read were deleted, 1,654 once an order became its
     # weights, 1,685 once canonical bases stopped keeping provenance and an
     # empty divisor list became a division, 1,697 once completion and
     # canonicalize stopped re-collecting denominators, 1,698 once
     # exponents.sub_alpha became total, 1,703 when cli became the only
     # command-line reader)
-    assert source_lines(names) <= 1625
+    assert source_lines(names) <= 1621
 
 
 @pytest.mark.parametrize("code, argv", [
@@ -143,15 +145,18 @@ def test_relations_loads_syzygies_but_not_families(tmp_path):
     assert not mods & {"coefficients", "families", "linalg"}
     if NO_HASHLIB:
         assert "hashlib" not in names
-    # what it loaded once mul_monomial lost its coefficient and the series
-    # methods only tests read were deleted (2,174 once an order became its
+    # what it loaded once the ring hashes were deleted, io sorted a series'
+    # terms itself, syzygy_diagram built its Diagram directly and
+    # mul_monomial checked the arity of beta (2,145 once mul_monomial lost
+    # its coefficient and the series methods only tests read were deleted,
+    # 2,174 once an order became its
     # weights, 2,205 once canonical bases stopped keeping provenance and an
     # empty divisor list became a division, 2,220 once completion and
     # canonicalize stopped re-collecting denominators, 2,221 once
     # exponents.sub_alpha became total, 2,226 once the determinant and
     # adjugate became Berkowitz's, 2,227 when cli became the only
     # command-line reader)
-    assert source_lines(names) <= 2145
+    assert source_lines(names) <= 2138
 
 
 def test_parametric_divide_loads_coefficients(tmp_path):
